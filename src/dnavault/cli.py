@@ -210,10 +210,14 @@ def _cmd_chain_verify(args) -> int:
         print(f"chain INVALID at height {info.get('failure_height')}")
         return EXIT_CHAIN_INVALID
     chain_path = resolve_state_dir(args.state) / "chain.jsonl"
-    ok, height = ledger.verify_chain_file(chain_path)
-    if ok:
-        blocks = ledger.load_chain(chain_path)
-        print(f"chain OK height={blocks[-1].index} tip={blocks[-1].block_hash}")
+    try:
+        tip = ledger.read_ledger(chain_path).tip
+    except OSError:
+        height = 0
+    except ledger.CorruptChain as exc:
+        height = exc.height
+    else:
+        print(f"chain OK height={tip.index} tip={tip.block_hash}")
         return 0
     print(f"chain INVALID at height {height}")
     return EXIT_CHAIN_INVALID

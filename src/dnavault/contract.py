@@ -13,15 +13,17 @@ Upload order (one atomic ledger transaction at the end):
 6. append one record-create transaction carrying hash, owner, timestamp,
    the full placement map and the codec parameters.
 
-Download reverses it: permission check against the folded record, retrieve
-each bead from any online replica, sequence at the configured coverage,
-collapse reads to consensus oligos, parse (CRC-filtering) into droplets,
-peel, optionally decrypt, and refuse to return bytes whose hash does not
-match the record.
+Download reverses it: permission check against the ledger's current
+record, retrieve each bead from any online replica, sequence at the
+configured coverage, collapse reads to consensus oligos, parse
+(CRC-filtering) into droplets, peel, optionally decrypt, and refuse to
+return bytes whose hash does not match the record.
 
-When constructed with a state directory the engine persists the chain
-(append-only ``chain.jsonl``) and bead contents as they are created, so a
-restarted process can rebuild the exact same state.
+The engine holds a ``Ledger``: uploads, downloads and permission changes
+read its current records and append one block checked against them, so no
+operation replays the chain. When constructed with a state directory the
+engine persists the chain (append-only ``chain.jsonl``) and bead contents as
+they are created, so a restarted process can rebuild the exact same state.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .fountain import (
     oligo_to_droplet,
     recoverable_segments,
 )
-from .ledger import Block, CodecParams, FileRecord, Validator
+from .ledger import Block, CodecParams, FileRecord, Ledger, Validator, save_chain
 from .network import Cluster, PlacementPolicy
 from .rng import derive_seed
 from .synthesis import Bead, ErrorModel, Manifest, consensus_reads, save_bead, sequence_bead, synthesize
@@ -137,21 +139,27 @@ class StorageContract:
         cluster: Cluster,
         validators: list[Validator],
         defaults: StoreParams | None = None,
-        chain: list[Block] | None = None,
+        ledger: Ledger | None = None,
         state_dir: Path | str | None = None,
         clock: Callable[[], float] = time.time,
     ):
+        """``ledger`` is taken as verified (as ``read_ledger`` leaves it) and not checked again."""
         self.cluster = cluster
         self.validators = validators
         self.defaults = defaults or StoreParams()
-        self.chain: list[Block] = chain if chain is not None else [ledger.genesis()]
+        self.ledger = ledger if ledger is not None else Ledger()
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.clock = clock
         if self.state_dir is not None:
             self.state_dir.mkdir(parents=True, exist_ok=True)
             chain_path = self.state_dir / "chain.jsonl"
             if not chain_path.exists():
-                ledger.save_chain(chain_path, self.chain)
+                save_chain(chain_path, self.chain)
+
+    @property
+    def chain(self) -> list[Block]:
+        """The live block list of the ledger."""
+        return self.ledger.blocks
 
     # --- persistence helpers ---
 
@@ -205,7 +213,7 @@ class StorageContract:
         params = params or self.defaults
 
         file_hash = hashlib.sha256(data).hexdigest()
-        if file_hash in ledger.fold_records(self.chain):
+        if file_hash in self.ledger.records:
             raise DuplicateFile(f"file {file_hash} is already recorded")
 
         payload = keystream_encrypt(data, params.key) if params.key else data
@@ -237,15 +245,13 @@ class StorageContract:
             permissions=set(),
             codec_params=CodecParams(k, params.segment_size, original_length),
         )
-        block = ledger.append_block(
-            self.chain, [ledger.record_create(record)], self.validators, int(self.clock())
-        )
+        block = self.ledger.append([ledger.record_create(record)], self.validators, int(self.clock()))
         self._persist_block(block)
         return UploadReceipt(file_hash, block.index, [b.bead_id for b in beads], placement)
 
     def download_file(self, requester: str, file_hash: str, key: str | None = None) -> bytes:
         """Reconstruct a stored file, enforcing permissions and integrity."""
-        record = ledger.find_record(self.chain, file_hash)
+        record = self.find_record(file_hash)
         if not record.is_permitted(requester):
             raise PermissionDenied(f"{requester} may not read {file_hash}")
         if record.codec_params is None:
@@ -283,12 +289,10 @@ class StorageContract:
         return data
 
     def _permission_change(self, owner: str, file_hash: str, grantee: str, make_tx) -> int:
-        record = ledger.find_record(self.chain, file_hash)
+        record = self.find_record(file_hash)
         if record.owner != owner:
             raise NotOwner(f"{owner} does not own {file_hash}")
-        block = ledger.append_block(
-            self.chain, [make_tx(file_hash, owner, grantee)], self.validators, int(self.clock())
-        )
+        block = self.ledger.append([make_tx(file_hash, owner, grantee)], self.validators, int(self.clock()))
         self._persist_block(block)
         return block.index
 
@@ -301,7 +305,8 @@ class StorageContract:
         return self._permission_change(owner, file_hash, grantee, ledger.permission_revoke)
 
     def find_record(self, file_hash: str) -> FileRecord:
-        return ledger.find_record(self.chain, file_hash)
+        """A copy of the current record for ``file_hash``; raises UnknownFile."""
+        return self.ledger.record(file_hash)
 
     def with_key(self, key: str | None) -> StoreParams:
         """The default parameters with a per-request encryption key."""

@@ -14,13 +14,23 @@ transaction types are understood::
 A record-create is valid while its file hash is unseen; grants and revokes
 are valid only from the record owner. The chain persists as ``chain.jsonl``,
 one canonical block per line, and reloading reproduces identical hashes.
+
+A ``Ledger`` keeps its folded ``file_hash -> FileRecord`` state
+incrementally: an append checks only the new block's transactions against
+that state and hashes only the new block, so no write replays the chain.
+Records in a state are never changed in place; a grant or revoke installs a
+changed copy. Full verification -- every hash, link and transaction from
+genesis -- runs when a chain is loaded (``read_ledger``, in the same pass
+that folds it), on ``chain verify`` and on ``GET /chain``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from collections import ChainMap
+from collections.abc import Iterable, MutableMapping
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import InvalidTransaction, NoStake, StaleChain, UnknownFile
@@ -69,6 +79,12 @@ class FileRecord:
 
     def is_permitted(self, identity: str) -> bool:
         return identity == self.owner or identity in self.permissions
+
+    def with_permissions(self, permissions: set[str]) -> FileRecord:
+        """A copy with ``permissions`` (built directly: ``dataclasses.replace`` is several times slower)."""
+        return FileRecord(
+            self.file_hash, self.owner, self.timestamp, self.bead_locations, permissions, self.codec_params
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -167,8 +183,14 @@ def select_validator(validators: list[Validator], prev_block_hash: str) -> str:
 # --- transaction folding ---------------------------------------------------------
 
 
-def _apply_transaction(state: dict[str, FileRecord], tx: dict) -> tuple[bool, str]:
-    """Validate ``tx`` against ``state`` and apply it when valid."""
+def _apply_transaction(state: MutableMapping[str, FileRecord], tx: dict) -> tuple[bool, str]:
+    """Validate ``tx`` against ``state`` and apply it when valid.
+
+    A grant or revoke stores a changed copy of the record, so records already
+    in ``state`` are never mutated.
+    """
+    if not isinstance(tx, dict):
+        return False, "MalformedTransaction"
     tx_type = tx.get("type")
     if tx_type == "record-create":
         raw = tx.get("record")
@@ -176,7 +198,7 @@ def _apply_transaction(state: dict[str, FileRecord], tx: dict) -> tuple[bool, st
             return False, "MalformedTransaction"
         try:
             record = FileRecord.from_dict(raw)
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             return False, "MalformedTransaction"
         if record.file_hash in state:
             return False, "DuplicateFile"
@@ -193,9 +215,10 @@ def _apply_transaction(state: dict[str, FileRecord], tx: dict) -> tuple[bool, st
         if issuer != record.owner:
             return False, "NotOwner"
         if tx_type == "permission-grant":
-            record.permissions.add(grantee)
+            permissions = record.permissions | {grantee}
         else:
-            record.permissions.discard(grantee)
+            permissions = record.permissions - {grantee}
+        state[file_hash] = record.with_permissions(permissions)
         return True, "ok"
     return False, "MalformedTransaction"
 
@@ -215,27 +238,95 @@ def validate_transaction(chain: list[Block], tx: dict) -> tuple[bool, str]:
     return _apply_transaction(state, tx)
 
 
+class CorruptChain(ValueError):
+    """A chain fails verification; ``height`` is the first failing block."""
+
+    def __init__(self, height: int, reason: str):
+        super().__init__(f"chain fails verification at height {height}: {reason}")
+        self.height = height
+
+
+class Ledger:
+    """The blocks, their folded ``file_hash -> FileRecord`` state and the tip.
+
+    ``Ledger()`` starts at genesis. ``Ledger(blocks)`` verifies ``blocks`` in
+    full -- index, genesis shape, link, hash and transactions, in that order
+    per block -- while folding them in the same pass, and raises
+    ``CorruptChain`` at the first failure. After that, ``append`` checks only
+    the new block.
+    """
+
+    def __init__(self, blocks: Iterable[Block] | None = None):
+        self.blocks: list[Block] = []
+        self.records: dict[str, FileRecord] = {}
+        for i, block in enumerate([genesis()] if blocks is None else blocks):
+            if block.index != i:
+                raise CorruptChain(i, "index out of sequence")
+            if i == 0:
+                if block.prev_hash != GENESIS_PREV_HASH or block.transactions or block.validator != GENESIS_VALIDATOR:
+                    raise CorruptChain(0, "not a genesis block")
+            elif block.prev_hash != self.blocks[-1].block_hash:
+                raise CorruptChain(i, "broken link to the previous block")
+            recomputed = compute_block_hash(
+                block.index, block.prev_hash, block.timestamp, block.validator, list(block.transactions)
+            )
+            if recomputed != block.block_hash:
+                raise CorruptChain(i, "block hash mismatch")
+            # A failure discards this half-built ledger, so transactions apply to records unstaged.
+            for tx in block.transactions:
+                valid, reason = _apply_transaction(self.records, tx)
+                if not valid:
+                    raise CorruptChain(i, reason)
+            self.blocks.append(block)
+        if not self.blocks:
+            raise CorruptChain(0, "the chain is empty")
+
+    @property
+    def tip(self) -> Block:
+        return self.blocks[-1]
+
+    def append(self, transactions: list[dict], validators: list[Validator], timestamp: int) -> Block:
+        """Extend the ledger by one proposer-selected block holding ``transactions``.
+
+        Each transaction must be valid in its prefix context (earlier
+        transactions of the same block included). The changes are staged on
+        copies, so a block that fails leaves the blocks and the state as
+        they were.
+        """
+        staged: dict[str, FileRecord] = {}
+        view = ChainMap(staged, self.records)
+        for i, tx in enumerate(transactions):
+            valid, reason = _apply_transaction(view, tx)
+            if not valid:
+                raise InvalidTransaction(i, reason)
+        tip = self.tip
+        validator = select_validator(validators, tip.block_hash)
+        index = tip.index + 1
+        block_hash = compute_block_hash(index, tip.block_hash, timestamp, validator, list(transactions))
+        block = Block(index, tip.block_hash, timestamp, validator, tuple(transactions), block_hash)
+        self.blocks.append(block)
+        self.records.update(staged)
+        return block
+
+    def record(self, file_hash: str) -> FileRecord:
+        """A copy of the current record for ``file_hash``; changing it leaves the ledger alone."""
+        record = self.records.get(file_hash)
+        if record is None:
+            raise UnknownFile(f"no ledger record for {file_hash}")
+        return replace(record, bead_locations=list(record.bead_locations), permissions=set(record.permissions))
+
+
 def append_block(chain: list[Block], transactions: list[dict], validators: list[Validator], timestamp: int) -> Block:
     """Extend the chain by one proposer-selected block holding ``transactions``.
 
     The chain is re-verified first; each transaction must be valid in its
     prefix context (earlier transactions of the same block included).
     """
-    ok, height = verify_chain(chain)
-    if not ok:
-        raise StaleChain(height)
-    state = fold_records(chain)
-    staged = []
-    for i, tx in enumerate(transactions):
-        valid, reason = _apply_transaction(state, tx)
-        if not valid:
-            raise InvalidTransaction(i, reason)
-        staged.append(tx)
-    tip = chain[-1]
-    validator = select_validator(validators, tip.block_hash)
-    index = tip.index + 1
-    block_hash = compute_block_hash(index, tip.block_hash, timestamp, validator, staged)
-    block = Block(index, tip.block_hash, timestamp, validator, tuple(staged), block_hash)
+    try:
+        current = Ledger(chain)
+    except CorruptChain as exc:
+        raise StaleChain(exc.height) from None
+    block = current.append(transactions, validators, timestamp)
     chain.append(block)
     return block
 
@@ -245,26 +336,10 @@ def verify_chain(chain: list[Block]) -> tuple[bool, int | None]:
 
     Returns (True, None) or (False, height-of-first-failure).
     """
-    if not chain:
-        return False, 0
-    state: dict[str, FileRecord] = {}
-    for i, block in enumerate(chain):
-        if block.index != i:
-            return False, i
-        if i == 0:
-            if block.prev_hash != GENESIS_PREV_HASH or block.transactions or block.validator != GENESIS_VALIDATOR:
-                return False, 0
-        elif block.prev_hash != chain[i - 1].block_hash:
-            return False, i
-        recomputed = compute_block_hash(
-            block.index, block.prev_hash, block.timestamp, block.validator, list(block.transactions)
-        )
-        if recomputed != block.block_hash:
-            return False, i
-        for tx in block.transactions:
-            valid, _ = _apply_transaction(state, tx)
-            if not valid:
-                return False, i
+    try:
+        Ledger(chain)
+    except CorruptChain as exc:
+        return False, exc.height
     return True, None
 
 
@@ -319,18 +394,28 @@ def _chain_lines(data: bytes) -> list[bytes]:
     return lines
 
 
+def _parse_blocks(data: bytes):
+    """The blocks of ``chain.jsonl`` bytes, parsed one line at a time as they are consumed."""
+    for i, line in enumerate(_chain_lines(data)):
+        try:
+            yield _parse_block_line(line)
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+            raise CorruptChain(i, f"line is corrupt: {exc}") from exc
+
+
+def read_ledger(path: Path | str) -> Ledger:
+    """Parse, hash-check, link-check and fold ``chain.jsonl`` in one pass.
+
+    Each line is parsed only once the lines before it have verified, so a
+    ``CorruptChain`` (a ValueError) names the height (line number) of the
+    first failure of any kind.
+    """
+    return Ledger(_parse_blocks(Path(path).read_bytes()))
+
+
 def load_chain(path: Path | str) -> list[Block]:
     """Load and fully verify a persisted chain; raises ValueError on tampering."""
-    blocks = []
-    for i, line in enumerate(_chain_lines(Path(path).read_bytes())):
-        try:
-            blocks.append(_parse_block_line(line))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"chain line {i} is corrupt: {exc}") from exc
-    ok, height = verify_chain(blocks)
-    if not ok:
-        raise ValueError(f"chain fails verification at height {height}")
-    return blocks
+    return read_ledger(path).blocks
 
 
 def verify_chain_file(path: Path | str) -> tuple[bool, int | None]:
@@ -341,13 +426,9 @@ def verify_chain_file(path: Path | str) -> tuple[bool, int | None]:
     first failure.
     """
     try:
-        data = Path(path).read_bytes()
+        read_ledger(path)
     except OSError:
         return False, 0
-    blocks = []
-    for i, line in enumerate(_chain_lines(data)):
-        try:
-            blocks.append(_parse_block_line(line))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-            return False, i
-    return verify_chain(blocks)
+    except CorruptChain as exc:
+        return False, exc.height
+    return True, None

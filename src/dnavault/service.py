@@ -59,6 +59,10 @@ ERROR_STATUS = {
 }
 
 
+class BadRequest(ValueError):
+    """The request itself is malformed (answered with 400)."""
+
+
 def status_for(exc: Exception) -> int:
     for cls, status in ERROR_STATUS.items():
         if isinstance(exc, cls):
@@ -75,12 +79,12 @@ class StorageService:
         self.config = config
         self.cluster = Cluster.from_topology(config.topology)
         chain_path = config.state_dir / "chain.jsonl"
-        chain = ledger.load_chain(chain_path) if chain_path.exists() else None
+        loaded = ledger.read_ledger(chain_path) if chain_path.exists() else None
         self.contract = StorageContract(
             cluster=self.cluster,
             validators=config.validator_objects(),
             defaults=config.store,
-            chain=chain,
+            ledger=loaded,
             state_dir=config.state_dir,
         )
         self._write_lock = threading.Lock()
@@ -90,7 +94,7 @@ class StorageService:
         """Re-install persisted bead content per the ledger's placement map."""
         beads_dir = self.config.state_dir / "beads"
         cache = {}
-        for record in ledger.fold_records(self.contract.chain).values():
+        for record in self.contract.ledger.records.values():
             for bead_id, node_id in record.bead_locations:
                 if node_id not in self.cluster.nodes:
                     continue  # topology shrank since upload; replica is gone
@@ -177,6 +181,9 @@ _NODE_ROUTE = re.compile(r"^/nodes/([^/]+)/(fail|restore)$")
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "dnavault"
+    # Headers and body go out in separate writes; with Nagle on, the body
+    # would wait for the client's delayed ACK (~40 ms per response).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> StorageService:
@@ -207,6 +214,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _body(self) -> bytes:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            self.close_connection = True  # the body's end is unknown, so the stream cannot be reused
+            raise BadRequest(f"negative Content-Length {length}")
         return self.rfile.read(length) if length else b""
 
     # --- dispatch ---

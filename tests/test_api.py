@@ -1,10 +1,15 @@
 """REST endpoints: status codes, payloads, fault injection, crash recovery."""
 
+import http.client
 import json
 import random
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlparse
 from contextlib import contextmanager
 
 import pytest
@@ -137,6 +142,42 @@ def test_chain_endpoints(service):
     assert info["tip_hash"] == json.loads(call(service, "GET", "/chain/blocks/1")[2])["block_hash"]
 
     assert call(service, "GET", "/chain/blocks/99")[0] == 404
+
+
+def address(base) -> tuple[str, int]:
+    url = urlparse(base)
+    return url.hostname, url.port
+
+
+def test_keep_alive_responses_do_not_wait_for_delayed_acks(service):
+    # Headers and body leave in two writes; with Nagle's algorithm on, each
+    # response waited ~40 ms for the client's delayed ACK.
+    conn = http.client.HTTPConnection(*address(service), timeout=5)
+    times = []
+    try:
+        for _ in range(10):
+            start = time.perf_counter()
+            conn.request("GET", "/chain")
+            resp = conn.getresponse()
+            resp.read()
+            times.append(time.perf_counter() - start)
+            assert resp.status == 200
+    finally:
+        conn.close()
+    assert statistics.median(times) < 0.020, times
+
+
+def test_negative_content_length_is_rejected(service):
+    # rfile.read(-1) would block until the client hung up
+    request = b"POST /files HTTP/1.1\r\nHost: x\r\nX-Owner: alice\r\nContent-Length: -1\r\n\r\nabc"
+    with socket.create_connection(address(service), timeout=3) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):  # the server closes the connection after replying
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert json.loads(body)["error"] == "BadRequest"
 
 
 def test_node_endpoints_and_audit(service):
