@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 import time
@@ -257,11 +256,16 @@ def _cmd_bench(args) -> int:
         error = type(exc).__name__
     elapsed = time.perf_counter() - start
 
-    k = math.ceil(args.size / params.segment_size)
+    # droplets actually encoded: screening and the peelability top-up move it off ceil(overhead * K)
+    droplets = 0
+    if receipt is not None:
+        droplets = sum(
+            cluster.retrieve_bead(bead_id, receipt.placement).manifest.oligo_count for bead_id in receipt.bead_ids
+        )
     result = {
         "ok": ok,
         "elapsed_s": round(elapsed, 3),
-        "droplets": max(k, math.ceil(k * params.overhead)),
+        "droplets": droplets,
         "size": args.size,
     }
     if error:

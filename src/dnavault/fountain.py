@@ -15,6 +15,13 @@ zlib.crc32) covers seed and payload, so any single-base substitution is
 detected. Degree sampling uses the robust soliton distribution; candidate
 droplets whose oligo fails the biological-plausibility screen (homopolymer
 runs, GC window) are discarded and regenerated from the next seed.
+
+Each droplet's plan (degree and segment indices) is derived once, in batch,
+and bit-identically to the scalar :func:`droplet_plan`: the encoder plans,
+XORs, frames and screens candidates a batch at a time on numpy arrays, and
+every accepted droplet carries its index set into the peelability check.
+Decoding plans all received droplets in one batch. Both peel with one core
+over CSR index arrays.
 """
 
 from __future__ import annotations
@@ -23,12 +30,14 @@ import math
 import struct
 import zlib
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .dna_codec import bytes_to_dna, dna_to_bytes
 from .errors import ChecksumMismatch, EmptyInput, InsufficientDroplets, LengthError, ScreenStarvation
-from .rng import Xorshift64Star
+from .rng import Xorshift64Star, plan_batch
 
 DEFAULT_SOLITON_C = 0.1
 DEFAULT_SOLITON_DELTA = 0.05
@@ -48,6 +57,9 @@ class Droplet:
     payload: bytes
     checksum: int
     degree: int | None = None
+    # Sorted segment indices of the seed's plan, carried from encoding so the
+    # peel check need not derive them again; None when parsed from an oligo.
+    indices: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 class RobustSoliton:
@@ -87,6 +99,7 @@ class RobustSoliton:
             acc += p
             self._cumulative.append(acc)
         self._cumulative[-1] = 1.0
+        self.cdf = np.array(self._cumulative)
 
     def sample(self, rng: Xorshift64Star) -> int:
         """Draw a degree in 1..K (one uniform draw, inverse CDF)."""
@@ -103,6 +116,19 @@ class OligoScreen:
 
     def accepts(self, seq: str) -> bool:
         return screen_oligo(seq, self.max_homopolymer, self.gc_min, self.gc_max)
+
+    def accepts_codes(self, codes: np.ndarray) -> np.ndarray:
+        """:meth:`accepts` for each row of an ``(n, L)`` matrix of base codes (A=0 .. T=3), L >= 1.
+
+        A run longer than the cap is ``max_homopolymer`` equal neighbours in a
+        row; the GC fraction is the count of C and G codes over L.
+        """
+        runs = codes[:, 1:] == codes[:, :-1]
+        for _ in range(self.max_homopolymer - 1):
+            runs = runs[:, :-1] & runs[:, 1:]  # now: this many neighbours in a row are equal
+        ok = ~runs.any(axis=1) if self.max_homopolymer > 0 else np.zeros(len(codes), dtype=bool)
+        gc = ((codes == 1) | (codes == 2)).sum(axis=1) / codes.shape[1]
+        return ok & (self.gc_min <= gc) & (gc <= self.gc_max)
 
 
 DEFAULT_SCREEN = OligoScreen()
@@ -128,6 +154,28 @@ def droplet_plan(seed: int, k: int, dist: RobustSoliton) -> tuple[int, list[int]
     return degree, rng.sample_distinct(degree, k)
 
 
+def plan_droplets(seeds, k: int, dist: RobustSoliton) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`droplet_plan` for many seeds at once, as CSR ``(offsets, indices)``."""
+    return plan_batch(np.asarray(seeds, dtype=np.uint64), dist.cdf, k)
+
+
+def _segment_words(payloads: list[bytes], segment_size: int) -> np.ndarray:
+    """Payloads as rows of native uint64 words, zero-padded to whole words (XOR is bytewise)."""
+    width = -(-segment_size // 8) * 8
+    joined = b"".join(p.ljust(width, b"\x00") for p in payloads)
+    return np.frombuffer(joined, dtype=np.uint64).reshape(len(payloads), width // 8)
+
+
+def _codes_of_bytes(raw: np.ndarray) -> np.ndarray:
+    """``(n, B)`` bytes to the ``(n, 4B)`` base codes of :func:`bytes_to_dna` (A=0 .. T=3)."""
+    shifts = np.array([6, 4, 2, 0], dtype=np.uint8)
+    return ((raw[:, :, None] >> shifts) & 3).reshape(len(raw), -1)
+
+
+# Candidates planned, framed and screened per batch; bounds the temporaries.
+_ENCODE_BATCH = 16384
+
+
 def encode_droplets(
     segments: list[Segment],
     count: int,
@@ -141,7 +189,9 @@ def encode_droplets(
     Candidate 32-bit droplet seeds come from the top bits of an
     xorshift64* stream seeded with ``rng_seed``; duplicates are skipped so
     every droplet is distinct. With a screen, candidates whose oligo fails
-    it are dropped and the next seed is tried.
+    it are dropped and the next seed is tried. Candidates are planned,
+    framed and screened in batches; the result is the first ``count``
+    accepted candidates in seed order, each carrying its plan's indices.
     """
     if not segments:
         raise EmptyInput("no segments to encode")
@@ -150,7 +200,7 @@ def encode_droplets(
     k = len(segments)
     dist = dist or RobustSoliton(k)
     segment_size = len(segments[0].payload)
-    seg_ints = [int.from_bytes(s.payload, "big") for s in segments]
+    seg_words = _segment_words([s.payload for s in segments], segment_size)
 
     master = Xorshift64Star(rng_seed)
     droplets: list[Droplet] = []
@@ -158,68 +208,128 @@ def encode_droplets(
     attempts = 0
     budget = 200 * count + 1000  # screen starvation guard
     while len(droplets) < count:
-        attempts += 1
-        if attempts > budget:
+        if attempts >= budget:
             raise ScreenStarvation(
-                f"screen accepted {len(droplets)} of {count} droplets in {attempts} attempts"
+                f"screen accepted {len(droplets)} of {count} droplets in {attempts + 1} attempts"
             )
-        seed = master.next_u64() >> 32
-        if seed in seen:
+        # Size the batch by the accept ratio so far, so that one more batch usually
+        # completes the set; grow it fourfold while nothing has passed the screen.
+        need = count - len(droplets)
+        if not attempts:
+            want = need
+        elif droplets:
+            want = need * attempts // len(droplets) + 1
+        else:
+            want = 4 * attempts
+        want = min(want, _ENCODE_BATCH)
+        seeds: list[int] = []
+        while len(seeds) < want and attempts < budget:
+            attempts += 1
+            seed = master.next_u64() >> 32
+            if seed not in seen:
+                seen.add(seed)
+                seeds.append(seed)
+        if not seeds:
             continue
-        seen.add(seed)
-        degree, indices = droplet_plan(seed, k, dist)
-        value = 0
-        for i in indices:
-            value ^= seg_ints[i]
-        payload = value.to_bytes(segment_size, "big")
-        checksum = zlib.crc32(struct.pack(">I", seed) + payload)
-        droplet = Droplet(seed, payload, checksum, degree)
-        if screen is not None and not screen.accepts(droplet_to_oligo(droplet)):
-            continue
-        droplets.append(droplet)
+        offsets, indices = plan_droplets(seeds, k, dist)
+        n = len(seeds)
+        xored = np.bitwise_xor.reduceat(seg_words[indices], offsets[:-1], axis=0)
+        raw = np.empty((n, OLIGO_HEADER_BYTES + segment_size), dtype=np.uint8)
+        raw[:, :4] = np.array(seeds, dtype=">u4").view(np.uint8).reshape(n, 4)
+        raw[:, 4:-4] = xored.view(np.uint8)[:, :segment_size]
+        framed = memoryview(raw[:, :-4].tobytes())
+        width = 4 + segment_size
+        checksums = [zlib.crc32(framed[i * width : (i + 1) * width]) for i in range(n)]
+        raw[:, -4:] = np.array(checksums, dtype=">u4").view(np.uint8).reshape(n, 4)
+        accepted = np.arange(n) if screen is None else np.flatnonzero(screen.accepts_codes(_codes_of_bytes(raw)))
+        accepted = accepted[: count - len(droplets)]
+        payloads = raw[accepted, 4:-4].tobytes()
+        starts, ends = offsets[accepted].tolist(), offsets[accepted + 1].tolist()
+        for j, i in enumerate(accepted.tolist()):
+            payload = payloads[j * segment_size : (j + 1) * segment_size]
+            droplets.append(Droplet(seeds[i], payload, checksums[i], ends[j] - starts[j], indices[starts[j] : ends[j]]))
     return droplets
 
 
-def _peel(index_sets: list[set[int]], values: list[int] | None, k: int) -> dict[int, int]:
-    """Shared peeling core; ``values`` may be None for a structure-only pass."""
-    by_segment: dict[int, list[int]] = {i: [] for i in range(k)}
-    for slot, indices in enumerate(index_sets):
-        for i in indices:
-            by_segment[i].append(slot)
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenation of ``arange(start, start + length)`` over the pairs, and where each range begins in it."""
+    begins = lengths.cumsum() - lengths
+    return (starts - begins).repeat(lengths) + np.arange(lengths.sum()), begins
 
-    resolved: dict[int, int] = {}
-    ripple = [slot for slot, rem in enumerate(index_sets) if len(rem) == 1]
-    while ripple:
-        slot = ripple.pop()
-        rem = index_sets[slot]
-        if len(rem) != 1:
-            continue
-        index = next(iter(rem))
-        rem.clear()
-        if index in resolved:
-            continue  # redundant droplet
-        value = values[slot] if values is not None else 0
-        resolved[index] = value
-        for other in by_segment[index]:
-            other_rem = index_sets[other]
-            if index in other_rem:
-                if values is not None:
-                    values[other] ^= value
-                other_rem.discard(index)
-                if len(other_rem) == 1:
-                    ripple.append(other)
-    return resolved
+
+def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | None, k: int):
+    """Shared peeling core over CSR index arrays; ``values`` may be None for a structure-only pass.
+
+    Per droplet it keeps the count of unresolved indices and the XOR of
+    them, which is the last index once the count reaches one. Each round
+    resolves every droplet then at count one (one per segment; the rest are
+    redundant) and strips the resolved segments from the droplets that hold
+    them; a droplet that resolved or went redundant counts on below zero and
+    never joins a ripple again. The resolved set is the peeling closure, so
+    it does not depend on the order of resolution. With values, a segment
+    resolved by a droplet is the droplet's value XOR every other segment of
+    its plan, all resolved in earlier rounds; the rounds are replayed in
+    order at the end. Returns ``(resolved, segment_values)``: a boolean mask
+    over the K segments and, with values, their ``(K, w)`` values
+    (unresolved rows 0).
+    """
+    n = len(offsets) - 1
+    degrees = offsets[1:] - offsets[:-1]
+    remaining = degrees.copy()
+    rows = np.arange(n).repeat(degrees)
+    last = np.zeros(n, dtype=np.int64)
+    np.bitwise_xor.at(last, rows, indices)
+    order = np.argsort(indices)
+    holders, held = rows[order], indices[order]  # (droplet, segment) pairs grouped by segment
+    first_holder = np.searchsorted(held, np.arange(k + 1))
+    resolved = np.zeros(k, dtype=bool)
+    slot = np.zeros(max(n, k), dtype=np.int64)  # reused buffer: keeps one of several equal entries
+    rounds = []  # (droplets, the segments they resolved) per round
+    ripple = (remaining == 1).nonzero()[0]
+    while len(ripple):
+        remaining[ripple] = 0
+        segs = last[ripple]  # never resolved yet: resolving a segment strips it from every holder
+        slot[segs] = ripple
+        ripple = ripple[slot[segs] == ripple]
+        segs = last[ripple]
+        resolved[segs] = True
+        rounds.append((ripple, segs))
+        edges, _ = _ranges(first_holder[segs], first_holder[segs + 1] - first_holder[segs])
+        hit = holders[edges]
+        np.subtract.at(remaining, hit, 1)
+        np.bitwise_xor.at(last, hit, held[edges])
+        ripple = hit[remaining[hit] == 1]
+        position = np.arange(len(ripple))
+        slot[ripple] = position
+        ripple = ripple[slot[ripple] == position]
+    if values is None:
+        return resolved, None
+    seg_values = np.zeros((k, values.shape[1]), dtype=values.dtype)
+    for droplets, segs in rounds:
+        edges, begins = _ranges(offsets[droplets], degrees[droplets])
+        plan_values = seg_values[indices[edges]]  # the segment being resolved still reads 0
+        seg_values[segs] = values[droplets] ^ np.bitwise_xor.reduceat(plan_values, begins, axis=0)
+    return resolved, seg_values
+
+
+def _plans_of(droplets: list[Droplet], k: int, dist: RobustSoliton | None) -> tuple[np.ndarray, np.ndarray]:
+    """CSR plans of ``droplets``: the indices they carry, else derived in one batch."""
+    if droplets and all(d.indices is not None for d in droplets):
+        offsets = np.zeros(len(droplets) + 1, dtype=np.int64)
+        np.cumsum([len(d.indices) for d in droplets], out=offsets[1:])
+        return offsets, np.concatenate([d.indices for d in droplets])
+    return plan_droplets([d.seed for d in droplets], k, dist or RobustSoliton(k))
 
 
 def recoverable_segments(droplets: list[Droplet], k: int, dist: RobustSoliton | None = None) -> int:
     """How many segments an error-free peel of this droplet set recovers.
 
     Peeling success depends only on the seed-derived index sets, so this is
-    a cheap decodability check (no payload XOR work).
+    a cheap decodability check (no payload XOR work). Droplets from
+    :func:`encode_droplets` carry their index sets, so none is derived again.
     """
-    dist = dist or RobustSoliton(k)
-    index_sets = [set(droplet_plan(d.seed, k, dist)[1]) for d in droplets]
-    return len(_peel(index_sets, None, k))
+    offsets, indices = _plans_of(droplets, k, dist)
+    return int(_peel_csr(offsets, indices, None, k)[0].sum())
 
 
 def decode(
@@ -235,18 +345,13 @@ def decode(
     :func:`encode_droplets`). Raises :class:`InsufficientDroplets` with the
     recovered count when peeling stalls.
     """
-    dist = dist or RobustSoliton(k)
-    index_sets = []
-    values = []
-    for droplet in droplets:
-        index_sets.append(set(droplet_plan(droplet.seed, k, dist)[1]))
-        values.append(int.from_bytes(droplet.payload, "big"))
-
-    resolved = _peel(index_sets, values, k)
-    if len(resolved) < k:
-        raise InsufficientDroplets(len(resolved), k)
-    out = b"".join(resolved[i].to_bytes(segment_size, "big") for i in range(k))
-    return out[:original_length]
+    offsets, indices = _plans_of(droplets, k, dist)
+    values = _segment_words([d.payload for d in droplets], segment_size)
+    resolved, seg_values = _peel_csr(offsets, indices, values, k)
+    recovered = int(resolved.sum())
+    if recovered < k:
+        raise InsufficientDroplets(recovered, k)
+    return seg_values.view(np.uint8)[:, :segment_size].tobytes()[:original_length]
 
 
 def droplet_to_oligo(droplet: Droplet) -> str:

@@ -21,7 +21,8 @@ that state and hashes only the new block, so no write replays the chain.
 Records in a state are never changed in place; a grant or revoke installs a
 changed copy. Full verification -- every hash, link and transaction from
 genesis -- runs when a chain is loaded (``read_ledger``, in the same pass
-that folds it), on ``chain verify`` and on ``GET /chain``.
+that folds it) and on ``chain verify``. ``GET /chain`` asks ``Ledger.verify``,
+which replays the chain only when it holds blocks the ledger did not verify.
 """
 
 from __future__ import annotations
@@ -280,6 +281,7 @@ class Ledger:
             self.blocks.append(block)
         if not self.blocks:
             raise CorruptChain(0, "the chain is empty")
+        self._verified = len(self.blocks)  # blocks[:_verified] are checked and folded into records
 
     @property
     def tip(self) -> Block:
@@ -304,9 +306,22 @@ class Ledger:
         index = tip.index + 1
         block_hash = compute_block_hash(index, tip.block_hash, timestamp, validator, list(transactions))
         block = Block(index, tip.block_hash, timestamp, validator, tuple(transactions), block_hash)
+        if self._verified == len(self.blocks):
+            self._verified += 1
         self.blocks.append(block)
         self.records.update(staged)
         return block
+
+    def verify(self) -> tuple[bool, int | None]:
+        """``verify_chain(self.blocks)``, skipped while every block is one this ledger verified.
+
+        Blocks are immutable and only loading and :meth:`append` add verified
+        ones, so a chain that holds nothing else is valid. Blocks put on
+        ``blocks`` from outside send it to the full ``verify_chain``.
+        """
+        if len(self.blocks) == self._verified:
+            return True, None
+        return verify_chain(self.blocks)
 
     def record(self, file_hash: str) -> FileRecord:
         """A copy of the current record for ``file_hash``; changing it leaves the ledger alone."""

@@ -14,7 +14,10 @@ machine:
   ``base + (i + 1) * GOLDEN``, applied once per index level.
 
 The vectorized helpers mirror the scalar class bit for bit; tests assert
-the equivalence.
+the equivalence. ``plan_batch`` derives many droplet plans at once (one
+inverse-CDF degree draw, then ``sample_distinct``), stepping the streams in
+lockstep and replaying ``randbelow``'s rejection draws, so every plan is
+identical to the one the scalar class yields for the same seed.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ class Xorshift64Star:
     def __init__(self, seed: int):
         state = mix64((seed + GOLDEN) & MASK64)
         self._state = state if state != 0 else GOLDEN
+
+    @classmethod
+    def from_state(cls, state: int) -> Xorshift64Star:
+        """Resume a stream from a raw (non-zero) state, as ``step_states`` leaves it."""
+        rng = cls.__new__(cls)
+        rng._state = state
+        return rng
 
     def next_u64(self) -> int:
         s = self._state
@@ -127,3 +137,98 @@ def substream_array(base: np.ndarray | int, indices: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
+
+
+# --- batch droplet planning -----------------------------------------------------
+
+# Below this many streams still drawing, one numpy step per column costs more
+# than finishing the remaining long streams one draw at a time in Python.
+_VECTOR_MIN_STREAMS = 16
+
+
+def _draw(states: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """``need[i]`` draws from stream ``i``, row-major; ``need`` sorted descending.
+
+    Streams advance in lockstep, one column per step over the prefix still
+    drawing; ``states`` is advanced in place.
+    """
+    starts = np.cumsum(need) - need
+    out = np.empty(int(need.sum()), dtype=np.uint64)
+    width = int(need[0])
+    active = np.searchsorted(-need, -np.arange(width), side="left")  # streams with need > t
+    for t in range(width):
+        rows = int(active[t])
+        if rows < _VECTOR_MIN_STREAMS:
+            for i in range(rows):
+                rng = Xorshift64Star.from_state(int(states[i]))
+                pos = int(starts[i])
+                out[pos + t : pos + int(need[i])] = [rng.next_u64() for _ in range(t, int(need[i]))]
+                states[i] = rng._state
+            break
+        out[starts[:rows] + t] = step_states(states[:rows])
+    return out
+
+
+def plan_batch(seeds: np.ndarray, cumulative: np.ndarray, population: int) -> tuple[np.ndarray, np.ndarray]:
+    """Batch mirror of ``min(bisect_left(cumulative, rng.random()) + 1, population)``
+    followed by ``rng.sample_distinct(count, population)``, per ``Xorshift64Star(seed)``.
+
+    Returns CSR arrays ``(offsets, indices)``: row ``i``'s sorted sample is
+    ``indices[offsets[i]:offsets[i + 1]]``. Bit-identical to the scalar path,
+    rejection draws of ``randbelow`` included. Sparse rows (2 * count <=
+    population) sample in lockstep rounds: each round draws the values a row
+    still needs, drops rejected draws and duplicates, and repeats for the rows
+    left short; since a round draws no more values than are still missing,
+    no row consumes a draw the scalar loop would not. Dense rows take the
+    scalar path. ``len(seeds) * population`` must stay below 2**63.
+    """
+    n = len(seeds)
+    if n * population >= 1 << 63:
+        raise ValueError("batch too large: row-major sample keys would overflow int64")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    states = seed_states(np.asarray(seeds, dtype=np.uint64))
+    unit = (step_states(states) >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    counts = np.minimum(np.searchsorted(cumulative, unit, side="left") + 1, population)
+    dense = counts * 2 > population  # sample_distinct's Fisher-Yates branch, kept scalar
+    rejected = (1 << 64) % population  # randbelow rejects draws >= 2**64 - rejected
+
+    dense_rows = dense.nonzero()[0].tolist()
+    row_states, row_counts = states.tolist(), counts.tolist()
+    keys = [
+        np.array(
+            [
+                i * population + j
+                for i in dense_rows
+                for j in Xorshift64Star.from_state(row_states[i]).sample_distinct(row_counts[i], population)
+            ],
+            dtype=np.int64,
+        )
+    ]
+    rows = (~dense).nonzero()[0]
+    rows_state, need = states[rows], counts[rows]
+    pending = np.empty(0, dtype=np.int64)  # distinct keys drawn so far by rows still short
+    while len(rows):
+        order = np.argsort(-need)
+        rows, rows_state, need = rows[order], rows_state[order], need[order]
+        draws = _draw(rows_state, need)
+        owner = rows.repeat(need)
+        if rejected:
+            ok = draws < np.uint64((1 << 64) - rejected)
+            draws, owner = draws[ok], owner[ok]
+        values = (draws % np.uint64(population)).astype(np.int64)
+        merged = np.sort(np.concatenate([pending, owner * population + values]))
+        first = np.ones(len(merged), dtype=bool)
+        first[1:] = merged[1:] != merged[:-1]
+        merged = merged[first]  # distinct keys
+        merged_row = merged // population
+        have = np.bincount(merged_row, minlength=n)
+        complete = have == counts
+        done = complete[merged_row]
+        keys.append(merged[done])
+        pending = merged[~done]
+        short = ~complete[rows]
+        rows, rows_state = rows[short], rows_state[short]
+        need = counts[rows] - have[rows]
+    flat = np.sort(np.concatenate(keys))
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, flat % population

@@ -128,7 +128,7 @@ class StorageService:
 
     def chain_info(self) -> dict:
         chain = self.contract.chain
-        ok, height = ledger.verify_chain(chain)
+        ok, height = self.contract.ledger.verify()
         info = {"height": chain[-1].index, "tip_hash": chain[-1].block_hash, "valid": ok}
         if not ok:
             info["failure_height"] = height

@@ -22,7 +22,9 @@ oligo once at read index 0, then all again at index 1, so a lower coverage
 is a prefix of a higher one.
 
 Indels are out of scope; framing stays fixed-length so the consensus step
-can vote position by position.
+can vote position by position. Consensus works on the ``(n, L)`` matrix of
+base codes: reads are grouped by their seed bases, CRCs are checked on the
+packed bytes and votes are taken from per-column base counts.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dna_codec import dna_to_bytes
 from .errors import EmptyBead
 from .fountain import OLIGO_HEADER_BYTES, read_oligo_file, write_oligo_file
 from .rng import derive_seed, seed_states, step_states, substream_array
@@ -43,6 +44,7 @@ _CODE_OF_CHAR = np.zeros(256, dtype=np.uint8)
 for _i, _c in enumerate(b"ACGT"):
     _CODE_OF_CHAR[_c] = _i
 _CHAR_OF_CODE = np.frombuffer(b"ACGT", dtype=np.uint8)
+_BASE_WEIGHTS = np.array([64, 16, 4, 1], dtype=np.uint8)  # a byte's four bases, most significant first
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,7 @@ def _threshold(rate: float) -> int | None:
 
 
 def _to_codes(oligos: list[str]) -> np.ndarray:
+    """Equal-length oligos as an ``(n, L)`` matrix of base codes, A=0 C=1 G=2 T=3 (any other symbol reads as A)."""
     length = len(oligos[0])
     flat = np.frombuffer("".join(oligos).encode("ascii"), dtype=np.uint8)
     return _CODE_OF_CHAR[flat].reshape(len(oligos), length)
@@ -173,22 +176,17 @@ def sequence_bead(bead: Bead, coverage: int, model: ErrorModel) -> ReadSet:
     return ReadSet(reads, coverage)
 
 
-def _crc_ok(raw: bytes) -> bool:
-    return zlib.crc32(raw[:-4]) == int.from_bytes(raw[-4:], "big")
+def _pack(codes: np.ndarray) -> np.ndarray:
+    """``(n, 4B)`` base codes to the ``(n, B)`` bytes they spell, first base in the top bits."""
+    return codes.reshape(len(codes), -1, 4) @ _BASE_WEIGHTS
 
 
-def _majority(pool: list[str]) -> str:
-    length = len(pool[0])
-    out = []
-    for pos in range(length):
-        counts: dict[str, int] = {}
-        for read in pool:
-            ch = read[pos]
-            counts[ch] = counts.get(ch, 0) + 1
-        best = max(counts.values())
-        # deterministic tie break: alphabetically first base among the tied
-        out.append(min(ch for ch, c in counts.items() if c == best))
-    return "".join(out)
+def _crc_valid(raw: np.ndarray) -> np.ndarray:
+    """Per row of frame bytes: does the trailing big-endian CRC-32 match the bytes before it?"""
+    width = raw.shape[1]
+    framed = memoryview(raw.tobytes())
+    computed = [zlib.crc32(framed[i * width : (i + 1) * width - 4]) for i in range(len(raw))]
+    return np.array(computed, dtype=np.int64) == raw[:, -4:].copy().view(">u4").ravel()
 
 
 def consensus_reads(read_set: ReadSet, segment_size: int) -> list[str]:
@@ -199,22 +197,44 @@ def consensus_reads(read_set: ReadSet, segment_size: int) -> list[str]:
     valid read is put to a per-position majority vote, and the voted
     consensus survives only if it passes the CRC. Output preserves the
     first-seen group order.
+
+    CRCs are checked on the packed bytes of the framed reads' base-code
+    matrix. A pool whose reads all agree yields its first read unchanged;
+    the other pools are voted together from per-column base counts, the
+    lowest code (alphabetically first base) winning a tie.
     """
     frame_len = 4 * (OLIGO_HEADER_BYTES + segment_size)
-    groups: dict[str, list[str]] = {}
-    for read in read_set.reads:
-        if len(read) != frame_len:
-            continue  # foreign framing; nothing to vote on
-        groups.setdefault(read[:16], []).append(read)
+    framed = [read for read in read_set.reads if len(read) == frame_len]  # foreign framing has nothing to vote on
+    if not framed:
+        return []
+    codes = _to_codes(framed)
+    valid = _crc_valid(_pack(codes)).tolist()
+    groups: dict[str, list[int]] = {}
+    for i, read in enumerate(framed):
+        groups.setdefault(read[:16], []).append(i)
 
-    consensus: list[str] = []
+    consensus: list[str | None] = []
+    ballots: list[list[int]] = []  # the pools put to a vote, in output order (their slot reads None)
     for members in groups.values():
-        valid = [r for r in members if _crc_ok(dna_to_bytes(r))]
-        pool = valid if valid else members
-        candidate = pool[0] if len(set(pool)) == 1 else _majority(pool)
-        if _crc_ok(dna_to_bytes(candidate)):
-            consensus.append(candidate)
-    return consensus
+        pool = [i for i in members if valid[i]] or members
+        first = framed[pool[0]]
+        if all(framed[i] == first for i in pool[1:]):
+            if valid[pool[0]]:
+                consensus.append(first)
+        else:
+            consensus.append(None)
+            ballots.append(pool)
+    if not ballots:
+        return consensus
+    sizes = np.array([len(pool) for pool in ballots])
+    votes = codes[np.concatenate(ballots)]
+    starts = sizes.cumsum() - sizes
+    counts = np.stack([np.add.reduceat(votes == b, starts, axis=0, dtype=np.int32) for b in range(4)])
+    voted = counts.argmax(axis=0).astype(np.uint8)  # argmax takes the first, lowest code on a tie
+    passed = _crc_valid(_pack(voted)).tolist()
+    outcome = iter([text if ok else None for text, ok in zip(_to_strings(voted), passed)])
+    filled = [c if c is not None else next(outcome) for c in consensus]
+    return [c for c in filled if c is not None]
 
 
 # --- on-disk bead format --------------------------------------------------------

@@ -1,0 +1,221 @@
+"""Batch droplet planning, the matrix screen and the CSR peel against their scalar references."""
+
+import random
+from bisect import bisect_left
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dnavault import fountain
+from dnavault.contract import StorageContract
+from dnavault.fountain import (
+    OligoScreen,
+    RobustSoliton,
+    _peel_csr,
+    droplet_plan,
+    oligo_to_droplet,
+    plan_droplets,
+    recoverable_segments,
+    screen_oligo,
+)
+from dnavault.ledger import Validator
+from dnavault.network import Cluster
+from dnavault.rng import Xorshift64Star, plan_batch
+from dnavault.synthesis import _to_codes
+
+
+def scalar_plan(seed: int, cumulative: list[float], population: int) -> list[int]:
+    """The documented per-seed plan: one inverse-CDF draw, then sample_distinct."""
+    rng = Xorshift64Star(seed)
+    count = min(bisect_left(cumulative, rng.random()) + 1, population)
+    return rng.sample_distinct(count, population)
+
+
+def rows(offsets, indices) -> list[list[int]]:
+    return [indices[offsets[i] : offsets[i + 1]].tolist() for i in range(len(offsets) - 1)]
+
+
+seeds_st = st.lists(st.integers(0, 2**32 - 1), max_size=96)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=seeds_st, k=st.sampled_from([1, 2, 3, 4, 5, 8, 17, 64, 100, 1000, 1024, 3000, 2**15]))
+def test_plan_droplets_matches_droplet_plan(seeds, k):
+    dist = RobustSoliton(k)
+    assert rows(*plan_droplets(seeds, k, dist)) == [droplet_plan(s, k, dist)[1] for s in seeds]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seeds=seeds_st,
+    population=st.one_of(st.integers(1, 300), st.sampled_from([256, 512, 4096])),
+    weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=300),
+)
+def test_plan_batch_matches_scalar_for_any_degree_law(seeds, population, weights):
+    # Arbitrary degree laws reach the dense Fisher-Yates branch (2 * count > population)
+    # and its boundary (2 * count == population) far more often than the soliton does.
+    cumulative = list(np.cumsum(weights) / sum(weights))
+    cumulative[-1] = 1.0
+    got = rows(*plan_batch(np.array(seeds, dtype=np.uint64), np.array(cumulative), population))
+    assert got == [scalar_plan(s, cumulative, population) for s in seeds]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=63), count=st.integers(1, 12))
+def test_plan_batch_replays_rejected_draws(seeds, count):
+    # randbelow rejects draws at or above 2**64 - 2**64 % population: here about one in 128.
+    population = 2**57 + 1
+    cumulative = [0.0] * (count - 1) + [1.0]
+    got = rows(*plan_batch(np.array(seeds, dtype=np.uint64), np.array(cumulative), population))
+    assert got == [scalar_plan(s, cumulative, population) for s in seeds]
+
+
+@pytest.mark.parametrize("k", [100, 2048, 32768])
+def test_plan_droplets_matches_over_many_seeds(k):
+    # Enough rows that the lockstep columns and the one-stream finish both run.
+    dist = RobustSoliton(k)
+    seeds = random.Random(k).sample(range(2**32), 2000)
+    assert rows(*plan_droplets(seeds, k, dist)) == [droplet_plan(s, k, dist)[1] for s in seeds]
+
+
+def test_plan_batch_rejects_key_overflow():
+    with pytest.raises(ValueError):
+        plan_batch(np.arange(4, dtype=np.uint64), np.array([1.0]), 2**62)
+
+
+# --- matrix screen ----------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seqs=st.lists(st.text(alphabet="ACGT", min_size=1, max_size=40), min_size=1, max_size=8),
+    run=st.integers(0, 6),
+    bounds=st.tuples(st.sampled_from([0.0, 0.25, 0.3, 0.5]), st.sampled_from([0.5, 0.6, 0.75, 1.0])),
+)
+def test_matrix_screen_matches_screen_oligo(seqs, run, bounds):
+    length = max(len(s) for s in seqs)
+    seqs = [(s * length)[:length] for s in seqs]  # one length per matrix; repetition makes long runs
+    screen = OligoScreen(run, *bounds)
+    expected = [screen_oligo(s, run, *bounds) for s in seqs]
+    assert screen.accepts_codes(_to_codes(seqs)).tolist() == expected
+
+
+def test_matrix_screen_gc_boundaries_are_inclusive():
+    seqs = ["GCAT" * 4, "GGGC" + "ATAT" * 3, "GCGC" * 3 + "ATAA"]  # GC 0.5, 0.25, 0.75
+    assert OligoScreen(4, 0.25, 0.75).accepts_codes(_to_codes(seqs)).tolist() == [True, True, True]
+    assert OligoScreen(4, 0.3, 0.7).accepts_codes(_to_codes(seqs)).tolist() == [True, False, False]
+
+
+# --- peeling --------------------------------------------------------------------------
+
+def reference_peel(index_sets, values, k):
+    """The set-based peeling decoder: one ripple droplet at a time."""
+    index_sets = [set(s) for s in index_sets]
+    values = None if values is None else list(values)
+    by_segment = {i: [] for i in range(k)}
+    for slot, indices in enumerate(index_sets):
+        for i in indices:
+            by_segment[i].append(slot)
+    resolved = {}
+    ripple = [slot for slot, rem in enumerate(index_sets) if len(rem) == 1]
+    while ripple:
+        slot = ripple.pop()
+        rem = index_sets[slot]
+        if len(rem) != 1:
+            continue
+        index = next(iter(rem))
+        rem.clear()
+        if index in resolved:
+            continue
+        value = values[slot] if values is not None else 0
+        resolved[index] = value
+        for other in by_segment[index]:
+            if index in index_sets[other]:
+                if values is not None:
+                    values[other] ^= value
+                index_sets[other].discard(index)
+                if len(index_sets[other]) == 1:
+                    ripple.append(other)
+    return resolved
+
+
+def csr_peel(index_sets, values, k):
+    """``_peel_csr`` on CSR arrays built from index sets: resolved segment -> value (0 without values)."""
+    offsets = np.zeros(len(index_sets) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in index_sets], out=offsets[1:])
+    indices = np.array([i for s in index_sets for i in sorted(s)], dtype=np.int64)
+    words = None if values is None else np.array(values, dtype=np.uint64).reshape(-1, 1)
+    resolved, seg_values = _peel_csr(offsets, indices, words, k)
+    return {i: 0 if seg_values is None else int(seg_values[i, 0]) for i in np.flatnonzero(resolved).tolist()}
+
+
+@st.composite
+def droplet_sets(draw):
+    k = draw(st.integers(1, 30))
+    sets = draw(st.lists(st.sets(st.integers(0, k - 1), max_size=min(k, 5)), max_size=50))
+    segment_values = draw(st.lists(st.integers(0, 2**40), min_size=k, max_size=k))
+    return k, sets, segment_values
+
+
+@settings(max_examples=200, deadline=None)
+@given(droplet_sets())
+def test_csr_peel_matches_reference(case):
+    k, sets, segment_values = case
+    values = []
+    for s in sets:
+        v = 0
+        for i in s:
+            v ^= segment_values[i]
+        values.append(v)
+    structural = csr_peel(sets, None, k)
+    assert structural.keys() == reference_peel(sets, None, k).keys()
+    resolved = csr_peel(sets, list(values), k)
+    assert resolved == reference_peel(sets, values, k)
+    assert all(resolved[i] == segment_values[i] for i in resolved)
+
+
+def test_recoverable_segments_matches_reference_on_plans():
+    for trial in range(1200):
+        rnd = random.Random(trial)
+        k = rnd.choice([2, 5, 16, 64, 200])
+        dist = RobustSoliton(k)
+        seeds = rnd.sample(range(2**32), rnd.randint(k // 2, 2 * k))
+        droplets = [fountain.Droplet(s, b"", 0) for s in seeds]
+        sets = [droplet_plan(s, k, dist)[1] for s in seeds]
+        assert recoverable_segments(droplets, k, dist) == len(reference_peel(sets, None, k))
+        if trial % 10 == 0:  # values too
+            segment_values = [rnd.getrandbits(64) for _ in range(k)]
+            values = [0] * len(sets)
+            for slot, s in enumerate(sets):
+                for i in s:
+                    values[slot] ^= segment_values[i]
+            assert csr_peel(sets, values, k) == reference_peel(sets, values, k)
+
+
+# --- planning counts ------------------------------------------------------------------
+
+def test_upload_plans_each_stored_droplet_at_most_once(monkeypatch):
+    planned = Counter()
+    original = fountain.plan_batch
+
+    def counted(seeds, cumulative, population):
+        planned.update(int(s) for s in seeds)
+        return original(seeds, cumulative, population)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the upload path derived a plan one seed at a time")
+
+    monkeypatch.setattr(fountain, "plan_batch", counted)
+    monkeypatch.setattr(fountain, "droplet_plan", forbidden)
+    cluster = Cluster([f"node-{i}" for i in range(10)])
+    receipt = StorageContract(cluster, [Validator("v", 1)]).upload_file("alice", random.Random(5).randbytes(65536))
+    stored = [
+        oligo_to_droplet(o, 32).seed
+        for b in receipt.bead_ids
+        for o in cluster.retrieve_bead(b, receipt.placement).oligos
+    ]
+    assert len(stored) >= 3482  # ceil(1.7 * 2048)
+    assert all(planned[s] == 1 for s in stored)
+    assert max(planned.values()) == 1  # no candidate is planned twice either

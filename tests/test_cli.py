@@ -145,6 +145,21 @@ def test_bench_roundtrip_line(capsys):
     assert result["elapsed_s"] >= 0
 
 
+def test_bench_reports_the_droplets_actually_stored(capsys):
+    from dnavault.contract import StorageContract, StoreParams
+    from dnavault.ledger import Validator
+    from dnavault.network import Cluster
+
+    # 240 B is K=8: the nominal ceil(1.7 * K) = 14 droplets do not peel, so the upload stores a topped-up set
+    code, out, _ = run_cli(capsys, "bench", "roundtrip", "--size", "240", "--error-rate", "0", "--seed", "11")
+    assert code == 0
+    cluster = Cluster([f"n{i}" for i in range(6)])
+    receipt = StorageContract(cluster, [Validator("v", 1)]).upload_file("a", random.Random(11).randbytes(240))
+    stored = sum(cluster.retrieve_bead(b, receipt.placement).manifest.oligo_count for b in receipt.bead_ids)
+    assert stored != 14
+    assert json.loads(out)["droplets"] == stored
+
+
 def test_url_mode_matches_local_semantics(tmp_path, capsys, stored_file):
     config = ServiceConfig(state_dir=tmp_path / "server-state", port=0)
     config.save()

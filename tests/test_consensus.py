@@ -1,0 +1,122 @@
+"""Matrix consensus against the read-by-read reference it replaces."""
+
+import random
+import zlib
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dnavault.dna_codec import dna_to_bytes
+from dnavault.fountain import droplet_to_oligo, encode_droplets, fragment
+from dnavault.synthesis import ErrorModel, Manifest, ReadSet, consensus_reads, sequence_bead, synthesize
+
+BASES = "ACGT"
+SEGMENT = 8
+
+
+def reference_consensus(read_set: ReadSet, segment_size: int) -> list[str]:
+    """Group by the 16 seed bases in first-seen order; valid reads win, else a
+    per-position vote whose ties go to the alphabetically first base; keep
+    what passes the CRC."""
+
+    def crc_ok(seq):
+        raw = dna_to_bytes(seq)
+        return zlib.crc32(raw[:-4]) == int.from_bytes(raw[-4:], "big")
+
+    def majority(pool):
+        out = []
+        for pos in range(len(pool[0])):
+            counts = {}
+            for read in pool:
+                counts[read[pos]] = counts.get(read[pos], 0) + 1
+            best = max(counts.values())
+            out.append(min(ch for ch, c in counts.items() if c == best))
+        return "".join(out)
+
+    frame_len = 4 * (8 + segment_size)
+    groups = {}
+    for read in read_set.reads:
+        if len(read) == frame_len:
+            groups.setdefault(read[:16], []).append(read)
+    consensus = []
+    for members in groups.values():
+        valid = [r for r in members if crc_ok(r)]
+        pool = valid if valid else members
+        candidate = pool[0] if len(set(pool)) == 1 else majority(pool)
+        if crc_ok(candidate):
+            consensus.append(candidate)
+    return consensus
+
+
+def oligos(count, seed, data_seed=None):
+    data = random.Random(seed if data_seed is None else data_seed).randbytes(count * SEGMENT)
+    segments, _ = fragment(data, SEGMENT)
+    return [droplet_to_oligo(d) for d in encode_droplets(segments, count, rng_seed=seed)]
+
+
+def mutate(read, positions, rnd):
+    chars = list(read)
+    for p in positions:
+        chars[p] = BASES[(BASES.index(chars[p]) + rnd.randrange(1, 4)) % 4]
+    return "".join(chars)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    count=st.integers(1, 6),
+    coverage=st.integers(1, 4),
+    rate=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+    foreign=st.integers(0, 3),
+    clash=st.booleans(),
+)
+def test_matrix_consensus_matches_reference(seed, count, coverage, rate, foreign, clash):
+    rnd = random.Random(seed)
+    designed = oligos(count, seed % 97)
+    if clash:  # other content under the same droplet seeds: groups holding two distinct valid reads
+        designed += oligos(count, seed % 97, data_seed=seed)
+    reads = []
+    for _ in range(coverage):
+        for oligo in designed:
+            # Errors mostly off the seed field keep groups together; some hit it and split them.
+            hits = [p for p in range(len(oligo)) if rnd.random() < rate]
+            reads.append(mutate(oligo, hits, rnd))
+    for _ in range(foreign):
+        reads.insert(rnd.randrange(len(reads) + 1), "".join(rnd.choice(BASES) for _ in range(rnd.choice([12, 47, 64]))))
+    rnd.shuffle(reads)
+    read_set = ReadSet(reads, coverage)
+    assert consensus_reads(read_set, SEGMENT) == reference_consensus(read_set, SEGMENT)
+
+
+def shift(read, pos, up):
+    """Replace one base by the next higher (or lower) one in A < C < G < T."""
+    i = BASES.index(read[pos])
+    return read[:pos] + BASES[min(i + 1, 3) if up else max(i - 1, 0)] + read[pos + 1 :]
+
+
+def test_consensus_ties_go_to_the_lowest_base():
+    (clean,) = oligos(1, 3)
+    up = [p for p in range(16, len(clean)) if clean[p] != "T"][:2]
+    down = [p for p in range(16, len(clean)) if clean[p] != "A"][:2]
+    # Two reads failing their CRC at different columns: each differing column is a 1-1 tie.
+    raised = ReadSet([shift(clean, up[0], True), shift(clean, up[1], True)], 2)
+    assert consensus_reads(raised, SEGMENT) == [clean] == reference_consensus(raised, SEGMENT)
+    lowered = ReadSet([shift(clean, down[0], False), shift(clean, down[1], False)], 2)
+    assert consensus_reads(lowered, SEGMENT) == [] == reference_consensus(lowered, SEGMENT)
+
+
+def test_consensus_drops_all_invalid_group_and_keeps_valid_one():
+    first, second = oligos(2, 5)
+    rnd = random.Random(1)
+    broken = mutate(first, [25], rnd)  # every read of this molecule carries the same error
+    reads = ReadSet([broken, second, broken, mutate(second, [33], rnd), broken, "ACGT"], 3)
+    assert consensus_reads(reads, SEGMENT) == [second] == reference_consensus(reads, SEGMENT)
+
+
+def test_consensus_on_a_sequenced_bead_matches_reference():
+    designed = oligos(40, 8)
+    manifest = Manifest(40, SEGMENT, 40 * SEGMENT, len(designed))
+    bead = synthesize(designed, manifest, ErrorModel(substitution_rate=0.01, rng_seed=2), "ref")
+    for coverage in (1, 2, 5):
+        reads = sequence_bead(bead, coverage, ErrorModel(substitution_rate=0.03, rng_seed=9))
+        assert consensus_reads(reads, SEGMENT) == reference_consensus(reads, SEGMENT)

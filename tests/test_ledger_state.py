@@ -211,3 +211,41 @@ def test_operations_never_replay_the_chain(tmp_path, monkeypatch):
     assert verify_chain(service.contract.chain) == (True, None)
     assert service.contract.ledger.records == fold_records(service.contract.chain)
     assert len(service.contract.chain) == height + 4
+
+
+def test_chain_info_verifies_each_block_once(tmp_path, monkeypatch):
+    config = deep_state(tmp_path, 50)
+    service = StorageService(ServiceConfig.load_or_create(config.state_dir))
+    counts = {"compute_block_hash": 0}
+    counting(monkeypatch, "compute_block_hash", counts)
+    assert service.chain_info()["valid"] is True
+    assert service.chain_info()["valid"] is True
+    assert counts["compute_block_hash"] == 0  # opening verified every block; nothing is new
+
+    receipt = service.upload("alice", b"verified height payload")
+    assert counts["compute_block_hash"] == 1  # the append hashes its own block
+    assert service.chain_info()["height"] == 51
+    assert counts["compute_block_hash"] == 1
+
+    chain = service.contract.chain
+    tip = chain[-1]
+    forged = ledger.Block(tip.index + 1, tip.block_hash, tip.timestamp, tip.validator, (), "0" * 64)
+    chain.append(forged)  # behind the ledger's back
+    info = service.chain_info()
+    assert (info["valid"], info["failure_height"]) == (False, 52)
+    assert service.chain_info()["valid"] is False  # a bad block stays unverified
+    assert verify_chain(chain) == (False, 52)
+
+    chain.pop()
+    honest = ledger.permission_grant(receipt["file_hash"], "alice", "carol")
+    good = ledger.Block(
+        tip.index + 1, tip.block_hash, 7, "v", (honest,),
+        ledger.compute_block_hash(tip.index + 1, tip.block_hash, 7, "v", [honest]),
+    )
+    chain.append(good)
+    before = dict(service.contract.ledger.records)
+    assert service.chain_info()["valid"] is True  # a valid outside block passes the full check
+    assert service.contract.ledger.records == before  # reading the chain folds nothing in
+    assert verify_chain(chain) == (True, None)
+    service.upload("alice", b"appended behind an outside block")
+    assert service.chain_info()["valid"] is verify_chain(chain)[0] is True
