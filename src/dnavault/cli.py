@@ -5,15 +5,15 @@ point it at a running service with ``--url`` and it speaks HTTP; without
 ``--url`` it opens the state directory (``--state``, else $ETRUS_STATE_DIR,
 else ./state) and calls the very same service operations in-process.
 
-Exit codes are stable per error class so scripts can branch on them:
+Exit codes are stable per error class so scripts can branch on them, and
+both modes give the same one. A ``StorageError`` exits with its class's
+``exit_code`` and prints ``Name: detail`` on stderr; the table lives on the
+classes in ``errors.py``. ``CorruptChain`` (12) is the exit of any command
+that meets a torn or tampered ``chain.jsonl``, not only ``chain verify``.
+Codes that belong to the CLI itself:
 
-    0  success                      7  InsufficientNodes
-    1  unexpected failure           8  BeadUnavailable
-    2  usage / bad input            9  DecodeFailed
-    3  DuplicateFile               10  IntegrityMismatch
-    4  UnknownFile                 11  UnknownNode
-    5  PermissionDenied            12  chain verification failed
-    6  NotOwner                    13  connection error
+    0  success                      2  usage / bad input (a plain ValueError)
+    1  unexpected failure          13  connection error
 """
 
 from __future__ import annotations
@@ -27,31 +27,17 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-from . import ledger
+from . import errors, ledger
 from .config import ServiceConfig, resolve_state_dir
 from .contract import StorageContract, StoreParams
-from .errors import StorageError
+from .errors import CorruptChain, DecodeFailed, StorageError
 from .ledger import Validator
 from .network import Cluster
 from .service import StorageService, serve
 from .synthesis import ErrorModel
 
-EXIT_CODES = {
-    "EmptyInput": 2,
-    "ValueError": 2,
-    "BadRequest": 2,
-    "DuplicateFile": 3,
-    "UnknownFile": 4,
-    "NotFound": 4,
-    "PermissionDenied": 5,
-    "NotOwner": 6,
-    "InsufficientNodes": 7,
-    "BeadUnavailable": 8,
-    "DecodeFailed": 9,
-    "IntegrityMismatch": 10,
-    "UnknownNode": 11,
-}
-EXIT_CHAIN_INVALID = 12
+EXIT_USAGE = 2
+EXIT_CHAIN_INVALID = CorruptChain.exit_code
 EXIT_CONNECTION = 13
 
 
@@ -61,104 +47,68 @@ class CliFailure(Exception):
         self.code = code
 
 
-def _fail_for(error_name: str, detail: str) -> CliFailure:
-    return CliFailure(EXIT_CODES.get(error_name, 1), f"{error_name}: {detail}")
+def _exit_code_for(error_name: str) -> int:
+    """The exit code of an error the service named in a reply."""
+    cls = getattr(errors, error_name, None)
+    if isinstance(cls, type) and issubclass(cls, StorageError):
+        return cls.exit_code
+    return EXIT_USAGE if error_name == "ValueError" else 1
 
 
-# --- transport-agnostic client -------------------------------------------------
+# --- REST client ---------------------------------------------------------------
 
 
 class HttpClient:
-    """Talks to a running service over REST."""
+    """Talks to a running service over REST, with the methods of ``StorageService``."""
 
     def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
 
-    def _request(self, method: str, path: str, body: bytes | None = None, headers: dict | None = None):
+    def _request(self, method: str, path: str, body: bytes | None = None, headers: dict | None = None) -> bytes:
+        """The reply body; an error reply raises ``CliFailure`` with the named error's exit code."""
         req = urllib.request.Request(self.base_url + path, data=body, method=method, headers=headers or {})
         try:
             with urllib.request.urlopen(req) as resp:
-                return resp.status, resp.read()
+                return resp.read()
         except urllib.error.HTTPError as exc:
-            return exc.code, exc.read()
+            payload = json.loads(exc.read().decode("utf-8"))
+            name = payload.get("error", "Error")
+            raise CliFailure(_exit_code_for(name), f"{name}: {payload.get('detail', '')}") from None
         except urllib.error.URLError as exc:
             raise CliFailure(EXIT_CONNECTION, f"cannot reach {self.base_url}: {exc.reason}") from exc
-
-    def _json_or_fail(self, status: int, body: bytes) -> dict:
-        payload = json.loads(body.decode("utf-8"))
-        if status >= 400:
-            raise _fail_for(payload.get("error", "Error"), payload.get("detail", ""))
-        return payload
 
     def upload(self, owner: str, data: bytes, key: str | None) -> dict:
         headers = {"X-Owner": owner, "Content-Type": "application/octet-stream"}
         if key:
             headers["X-Key"] = key
-        return self._json_or_fail(*self._request("POST", "/files", data, headers))
+        return json.loads(self._request("POST", "/files", data, headers))
 
     def download(self, requester: str, file_hash: str, key: str | None) -> bytes:
         headers = {"X-Requester": requester}
         if key:
             headers["X-Key"] = key
-        status, body = self._request("GET", f"/files/{file_hash}", headers=headers)
-        if status != 200:
-            payload = json.loads(body.decode("utf-8"))
-            raise _fail_for(payload.get("error", "Error"), payload.get("detail", ""))
-        return body
+        return self._request("GET", f"/files/{file_hash}", headers=headers)
 
-    def change_permission(self, owner: str, file_hash: str, action: str, grantee: str) -> dict:
+    def change_permission(self, owner: str, file_hash: str, action: str, grantee: str) -> int:
         body = json.dumps({"action": action, "grantee": grantee}).encode("utf-8")
         headers = {"X-Owner": owner, "Content-Type": "application/json"}
-        return self._json_or_fail(*self._request("POST", f"/files/{file_hash}/permissions", body, headers))
+        return json.loads(self._request("POST", f"/files/{file_hash}/permissions", body, headers))["block"]
 
     def chain_info(self) -> dict:
-        return self._json_or_fail(*self._request("GET", "/chain"))
+        return json.loads(self._request("GET", "/chain"))
 
     def nodes_info(self) -> dict:
-        return self._json_or_fail(*self._request("GET", "/nodes"))
+        return json.loads(self._request("GET", "/nodes"))
 
     def set_node(self, node_id: str, online: bool) -> dict:
         action = "restore" if online else "fail"
-        return self._json_or_fail(*self._request("POST", f"/nodes/{node_id}/{action}"))
+        return json.loads(self._request("POST", f"/nodes/{node_id}/{action}"))
 
 
-class LocalClient:
-    """Runs the same operations in-process against a state directory."""
-
-    def __init__(self, state_dir: Path):
-        self.service = StorageService(ServiceConfig.load_or_create(state_dir))
-
-    def _wrap(self, fn, *args):
-        try:
-            return fn(*args)
-        except StorageError as exc:
-            raise _fail_for(type(exc).__name__, str(exc)) from exc
-        except ValueError as exc:
-            raise CliFailure(2, str(exc)) from exc
-
-    def upload(self, owner, data, key):
-        return self._wrap(self.service.upload, owner, data, key)
-
-    def download(self, requester, file_hash, key):
-        return self._wrap(self.service.download, requester, file_hash, key)
-
-    def change_permission(self, owner, file_hash, action, grantee):
-        return {"block": self._wrap(self.service.change_permission, owner, file_hash, action, grantee)}
-
-    def chain_info(self):
-        return self.service.chain_info()
-
-    def nodes_info(self):
-        return self.service.nodes_info()
-
-    def set_node(self, node_id, online):
-        return self._wrap(self.service.set_node, node_id, online)
-
-
-def _client(args) -> HttpClient | LocalClient:
+def _client(args) -> HttpClient | StorageService:
     if args.url:
         return HttpClient(args.url)
-    return LocalClient(resolve_state_dir(args.state))
+    return StorageService(ServiceConfig.load_or_create(resolve_state_dir(args.state)))
 
 
 def _emit(payload: dict) -> None:
@@ -190,8 +140,7 @@ def _cmd_download(args) -> int:
 
 
 def _cmd_perms(args) -> int:
-    result = _client(args).change_permission(args.owner, args.hash, args.action, args.user)
-    _emit(result)
+    _emit({"block": _client(args).change_permission(args.owner, args.hash, args.action, args.user)})
     return 0
 
 
@@ -213,7 +162,7 @@ def _cmd_chain_verify(args) -> int:
         tip = ledger.read_ledger(chain_path).tip
     except OSError:
         height = 0
-    except ledger.CorruptChain as exc:
+    except CorruptChain as exc:
         height = exc.height
     else:
         print(f"chain OK height={tip.index} tip={tip.block_hash}")
@@ -246,14 +195,14 @@ def _cmd_bench(args) -> int:
 
     start = time.perf_counter()
     ok = True
-    error = None
+    failure = None
     receipt = None
     try:
         receipt = contract.upload_file("bench", data, params)
         ok = contract.download_file("bench", receipt.file_hash) == data
     except StorageError as exc:
         ok = False
-        error = type(exc).__name__
+        failure = exc
     elapsed = time.perf_counter() - start
 
     # droplets actually encoded: screening and the peelability top-up move it off ceil(overhead * K)
@@ -268,12 +217,12 @@ def _cmd_bench(args) -> int:
         "droplets": droplets,
         "size": args.size,
     }
-    if error:
-        result["error"] = error
+    if failure:
+        result["error"] = type(failure).__name__
     _emit(result)
     if ok:
         return 0
-    return EXIT_CODES.get(error or "", EXIT_CODES["DecodeFailed"])
+    return failure.exit_code if failure else DecodeFailed.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,9 +293,12 @@ def main(argv: list[str] | None = None) -> int:
     except CliFailure as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except OSError as exc:
+    except StorageError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
-        return 2
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .contract import StoreParams
+from .contract import StoreParams, field_values, known_fields
 from .ledger import Validator
 
 STATE_DIR_ENV = "ETRUS_STATE_DIR"
@@ -60,13 +60,8 @@ class ServiceConfig:
         return [Validator(v["id"], v["stake"]) for v in self.validators]
 
     def to_dict(self) -> dict:
-        return {
-            "host": self.host,
-            "port": self.port,
-            "store": self.store.to_dict(),
-            "topology": self.topology,
-            "validators": self.validators,
-        }
+        """Every field but ``state_dir``, which is where the dict is written."""
+        return {**field_values(self, ("state_dir",)), "store": self.store.to_dict()}
 
     def save(self) -> Path:
         path = self.state_dir / "config.json"
@@ -79,27 +74,20 @@ class ServiceConfig:
         """Read ``config.json`` if present, else write one with defaults.
 
         ``overrides`` (host, port, store, topology, validators) replace the
-        loaded values but are not persisted unless the file is new.
+        loaded values but are not persisted unless the file is new. Keys the
+        file lacks take the dataclass defaults; keys it has beyond the fields
+        are ignored.
         """
         state_dir = Path(state_dir)
         path = state_dir / "config.json"
-        if path.exists():
-            raw = json.loads(path.read_text(encoding="utf-8"))
-            config = cls(
-                state_dir=state_dir,
-                host=raw.get("host", DEFAULT_HOST),
-                port=raw.get("port", DEFAULT_PORT),
-                store=StoreParams.from_dict(raw.get("store", {})),
-                topology=raw.get("topology", default_topology()),
-                validators=raw.get("validators", default_validators()),
-            )
-            for name, value in overrides.items():
-                if value is not None:
-                    setattr(config, name, value)
-            return config
-        config = cls(state_dir=state_dir)
+        new = not path.exists()
+        known = {} if new else known_fields(cls, json.loads(path.read_text(encoding="utf-8")), ("state_dir",))
+        if "store" in known:
+            known["store"] = StoreParams.from_dict(known["store"])
+        config = cls(state_dir=state_dir, **known)
         for name, value in overrides.items():
             if value is not None:
                 setattr(config, name, value)
-        config.save()
+        if new:
+            config.save()
         return config

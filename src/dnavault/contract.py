@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -65,6 +65,20 @@ from .rng import derive_seed
 from .synthesis import Bead, ErrorModel, Manifest, consensus_reads, save_bead, sequence_bead, synthesize
 
 
+def field_values(obj, skip: tuple[str, ...] = ()) -> dict:
+    """Field name -> value for each field of dataclass ``obj`` not named in ``skip``."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+
+
+def known_fields(cls, raw: dict, skip: tuple[str, ...] = ()) -> dict:
+    """The entries of ``raw`` that name a field of dataclass ``cls`` not in ``skip``; others are ignored."""
+    return {f.name: raw[f.name] for f in fields(cls) if f.name in raw and f.name not in skip}
+
+
+# A key belongs to one upload, and the screen is code, not configuration.
+_UNPERSISTED = ("key", "screen")
+
+
 @dataclass(frozen=True)
 class StoreParams:
     """Every knob of the storage pipeline, with desk-scale defaults."""
@@ -85,34 +99,16 @@ class StoreParams:
             raise ValueError("droplet overhead factor must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "segment_size": self.segment_size,
-            "overhead": self.overhead,
-            "beads_per_file": self.beads_per_file,
-            "replication": self.replication,
-            "error_model": {
-                "substitution_rate": self.error_model.substitution_rate,
-                "oligo_dropout_rate": self.error_model.oligo_dropout_rate,
-                "rng_seed": self.error_model.rng_seed,
-            },
-            "coverage": self.coverage,
-        }
+        """Every field but the unpersisted ``key`` and ``screen``."""
+        return {**field_values(self, _UNPERSISTED), "error_model": field_values(self.error_model)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> StoreParams:
-        em = raw.get("error_model", {})
-        return cls(
-            segment_size=raw.get("segment_size", 32),
-            overhead=raw.get("overhead", 1.7),
-            beads_per_file=raw.get("beads_per_file", 4),
-            replication=raw.get("replication", 3),
-            error_model=ErrorModel(
-                em.get("substitution_rate", 0.0),
-                em.get("oligo_dropout_rate", 0.0),
-                em.get("rng_seed", 0),
-            ),
-            coverage=raw.get("coverage", 5),
-        )
+        """The inverse of :meth:`to_dict`: missing keys take the defaults, unknown keys are ignored."""
+        known = known_fields(cls, raw, _UNPERSISTED)
+        if "error_model" in known:
+            known["error_model"] = ErrorModel(**known_fields(ErrorModel, known["error_model"]))
+        return cls(**known)
 
 
 @dataclass(frozen=True)

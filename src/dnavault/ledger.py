@@ -34,7 +34,7 @@ from collections.abc import Iterable, MutableMapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import InvalidTransaction, NoStake, StaleChain, UnknownFile
+from .errors import CorruptChain, InvalidTransaction, NoStake, StaleChain, UnknownFile
 
 GENESIS_PREV_HASH = "0" * 64
 GENESIS_VALIDATOR = "genesis"
@@ -237,14 +237,6 @@ def validate_transaction(chain: list[Block], tx: dict) -> tuple[bool, str]:
     """Would ``tx`` be valid appended right after ``chain``? Returns (ok, reason)."""
     state = fold_records(chain)
     return _apply_transaction(state, tx)
-
-
-class CorruptChain(ValueError):
-    """A chain fails verification; ``height`` is the first failing block."""
-
-    def __init__(self, height: int, reason: str):
-        super().__init__(f"chain fails verification at height {height}: {reason}")
-        self.height = height
 
 
 class Ledger:

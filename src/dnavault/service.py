@@ -11,6 +11,11 @@ Endpoints (JSON responses unless noted):
     POST /nodes/{id}/fail            mark a node offline
     POST /nodes/{id}/restore         bring it back
 
+A failure answers ``{"error": <class name>, "detail": <message>}`` with the
+error class's ``http_status`` (the table is in ``errors.py``), including
+``BadRequest`` for an unreadable body and ``NotFound`` for an unknown route
+or block. Any other ValueError is 400 and any other exception 500.
+
 Identity is carried in plain headers; there is no authentication layer.
 All mutations funnel through one lock (single writer); reads run
 concurrently against the current snapshot.
@@ -27,50 +32,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from . import ledger
 from .config import ServiceConfig
 from .contract import StorageContract
-from .errors import (
-    BeadUnavailable,
-    DecodeFailed,
-    DuplicateFile,
-    EmptyInput,
-    InsufficientNodes,
-    IntegrityMismatch,
-    NotOwner,
-    PermissionDenied,
-    StorageError,
-    UnknownFile,
-    UnknownNode,
-)
+from .errors import BadRequest, EmptyInput, NotFound, StorageError
 from .network import Cluster
 from .synthesis import load_bead
 
 log = logging.getLogger(__name__)
-
-ERROR_STATUS = {
-    EmptyInput: 400,
-    DuplicateFile: 409,
-    InsufficientNodes: 503,
-    UnknownFile: 404,
-    PermissionDenied: 403,
-    NotOwner: 403,
-    BeadUnavailable: 503,
-    DecodeFailed: 500,
-    IntegrityMismatch: 500,
-    UnknownNode: 404,
-}
-
-
-class BadRequest(ValueError):
-    """The request itself is malformed (answered with 400)."""
-
-
-def status_for(exc: Exception) -> int:
-    for cls, status in ERROR_STATUS.items():
-        if isinstance(exc, cls):
-            return status
-    if isinstance(exc, ValueError):
-        return 400
-    return 500
-
 
 class StorageService:
     """Contract engine bound to a state directory, shared by HTTP and CLI."""
@@ -119,8 +85,8 @@ class StorageService:
     def change_permission(self, owner: str, file_hash: str, action: str, grantee: str) -> int:
         if action not in ("grant", "revoke"):
             raise ValueError(f"action must be 'grant' or 'revoke', not {action!r}")
-        if not grantee:
-            raise ValueError("grantee must be non-empty")
+        if not isinstance(grantee, str) or not grantee:
+            raise ValueError(f"grantee must be a non-empty string, not {grantee!r}")
         with self._write_lock:
             if action == "grant":
                 return self.contract.grant_permission(owner, file_hash, grantee)
@@ -134,10 +100,10 @@ class StorageService:
             info["failure_height"] = height
         return info
 
-    def block_at(self, index: int) -> dict | None:
+    def block_at(self, index: int) -> dict:
         chain = self.contract.chain
         if not 0 <= index < len(chain):
-            return None
+            raise NotFound(f"no block at {index}")
         return chain[index].to_dict()
 
     def nodes_info(self) -> dict:
@@ -209,9 +175,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _send_error(self, exc: Exception) -> None:
-        self._send_json(status_for(exc), {"error": type(exc).__name__, "detail": str(exc)})
-
     def _body(self) -> bytes:
         length = int(self.headers.get("Content-Length") or 0)
         if length < 0:
@@ -222,66 +185,64 @@ class _Handler(BaseHTTPRequestHandler):
     # --- dispatch ---
 
     def do_GET(self):
-        try:
-            match = _FILE_ROUTE.match(self.path)
-            if match:
-                requester = self.headers.get("X-Requester", "")
-                key = self.headers.get("X-Key") or None
-                data = self.service.download(requester, match.group(1).lower(), key)
-                self._send_bytes(data)
-                return
-            if self.path == "/chain":
-                self._send_json(200, self.service.chain_info())
-                return
-            match = _BLOCK_ROUTE.match(self.path)
-            if match:
-                block = self.service.block_at(int(match.group(1)))
-                if block is None:
-                    self._send_json(404, {"error": "NotFound", "detail": f"no block at {match.group(1)}"})
-                else:
-                    self._send_json(200, block)
-                return
-            if self.path == "/nodes":
-                self._send_json(200, self.service.nodes_info())
-                return
-            self._send_json(404, {"error": "NotFound", "detail": self.path})
-        except Exception as exc:  # noqa: BLE001 - every failure becomes a status
-            if not isinstance(exc, (StorageError, ValueError)):
-                log.exception("unhandled error on GET %s", self.path)
-            self._send_error(exc)
+        self._answer(self._get)
 
     def do_POST(self):
+        self._answer(self._post)
+
+    def _answer(self, route) -> None:
+        """Run ``route``; any failure becomes its error's status and a JSON ``error``/``detail`` body."""
         try:
-            if self.path == "/files":
-                body = self._body()
-                if not body:
-                    raise EmptyInput("request body is empty")
-                owner = self.headers.get("X-Owner", "")
-                key = self.headers.get("X-Key") or None
-                receipt = self.service.upload(owner, body, key)
-                self._send_json(201, receipt)
-                return
-            match = _PERM_ROUTE.match(self.path)
-            if match:
+            route()
+        except Exception as exc:  # noqa: BLE001 - every failure becomes a status
+            if isinstance(exc, StorageError):
+                status = exc.http_status
+            elif isinstance(exc, ValueError):
+                status = 400
+            else:
+                status = 500
+                log.exception("unhandled error on %s %s", self.command, self.path)
+            self._send_json(status, {"error": type(exc).__name__, "detail": str(exc)})
+
+    def _get(self) -> None:
+        if match := _FILE_ROUTE.match(self.path):
+            requester = self.headers.get("X-Requester", "")
+            key = self.headers.get("X-Key") or None
+            self._send_bytes(self.service.download(requester, match.group(1).lower(), key))
+        elif self.path == "/chain":
+            self._send_json(200, self.service.chain_info())
+        elif match := _BLOCK_ROUTE.match(self.path):
+            self._send_json(200, self.service.block_at(int(match.group(1))))
+        elif self.path == "/nodes":
+            self._send_json(200, self.service.nodes_info())
+        else:
+            raise NotFound(self.path)
+
+    def _post(self) -> None:
+        if self.path == "/files":
+            body = self._body()
+            if not body:
+                raise EmptyInput("request body is empty")
+            owner = self.headers.get("X-Owner", "")
+            key = self.headers.get("X-Key") or None
+            self._send_json(201, self.service.upload(owner, body, key))
+        elif match := _PERM_ROUTE.match(self.path):
+            try:
                 payload = json.loads(self._body() or b"{}")
-                owner = self.headers.get("X-Owner", "")
-                height = self.service.change_permission(
-                    owner, match.group(1).lower(), payload.get("action", ""), payload.get("grantee", "")
-                )
-                self._send_json(200, {"block": height})
-                return
-            match = _NODE_ROUTE.match(self.path)
-            if match:
-                node_id, action = match.groups()
-                self._send_json(200, self.service.set_node(node_id, action == "restore"))
-                return
-            self._send_json(404, {"error": "NotFound", "detail": self.path})
-        except json.JSONDecodeError as exc:
-            self._send_json(400, {"error": "BadRequest", "detail": f"invalid JSON body: {exc}"})
-        except Exception as exc:  # noqa: BLE001
-            if not isinstance(exc, (StorageError, ValueError)):
-                log.exception("unhandled error on POST %s", self.path)
-            self._send_error(exc)
+            except json.JSONDecodeError as exc:
+                raise BadRequest(f"invalid JSON body: {exc}") from None
+            if not isinstance(payload, dict):
+                raise BadRequest(f"body must be a JSON object, not {type(payload).__name__}")
+            owner = self.headers.get("X-Owner", "")
+            height = self.service.change_permission(
+                owner, match.group(1).lower(), payload.get("action", ""), payload.get("grantee", "")
+            )
+            self._send_json(200, {"block": height})
+        elif match := _NODE_ROUTE.match(self.path):
+            node_id, action = match.groups()
+            self._send_json(200, self.service.set_node(node_id, action == "restore"))
+        else:
+            raise NotFound(self.path)
 
 
 def make_server(config: ServiceConfig) -> ThreadingHTTPServer:
