@@ -21,8 +21,11 @@ that state and hashes only the new block, so no write replays the chain.
 Records in a state are never changed in place; a grant or revoke installs a
 changed copy. Full verification -- every hash, link and transaction from
 genesis -- runs when a chain is loaded (``read_ledger``, in the same pass
-that folds it) and on ``chain verify``. ``GET /chain`` asks ``Ledger.verify``,
-which replays the chain only when it holds blocks the ledger did not verify.
+that folds it) and on ``chain verify``. A load dumps each line once, to check
+that it is canonical, and hashes the line's own payload slice: ``block_hash``
+sorts first, so the rest of a canonical line after it is the hashed JSON.
+``GET /chain`` asks ``Ledger.verify``, which replays the chain only when it
+holds blocks the ledger did not verify.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ GENESIS_PREV_HASH = "0" * 64
 GENESIS_VALIDATOR = "genesis"
 
 _BLOCK_KEYS = {"index", "prev_hash", "timestamp", "validator", "transactions", "block_hash"}
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)  # json.dumps builds one a call
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,12 @@ class Block:
 
 
 def canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
+    return _CANONICAL.encode(obj).encode("utf-8")
+
+
+def hash_payload(payload: bytes) -> str:
+    """The block hash of ``payload``, the canonical JSON of a block's fields without ``block_hash``."""
+    return hashlib.sha256(payload).hexdigest()
 
 
 def compute_block_hash(index: int, prev_hash: str, timestamp: int, validator: str, transactions: list[dict]) -> str:
@@ -141,7 +150,7 @@ def compute_block_hash(index: int, prev_hash: str, timestamp: int, validator: st
         "validator": validator,
         "transactions": transactions,
     }
-    return hashlib.sha256(canonical_json(payload)).hexdigest()
+    return hash_payload(canonical_json(payload))
 
 
 def record_create(record: FileRecord) -> dict:
@@ -250,9 +259,13 @@ class Ledger:
     """
 
     def __init__(self, blocks: Iterable[Block] | None = None):
+        self._load((block, None) for block in ([genesis()] if blocks is None else blocks))
+
+    def _load(self, parsed: Iterable[tuple[Block, bytes | None]]) -> None:
+        """Verify and fold ``(block, hash payload)`` pairs; a block without a payload is hashed from its fields."""
         self.blocks: list[Block] = []
         self.records: dict[str, FileRecord] = {}
-        for i, block in enumerate([genesis()] if blocks is None else blocks):
+        for i, (block, payload) in enumerate(parsed):
             if block.index != i:
                 raise CorruptChain(i, "index out of sequence")
             if i == 0:
@@ -260,9 +273,12 @@ class Ledger:
                     raise CorruptChain(0, "not a genesis block")
             elif block.prev_hash != self.blocks[-1].block_hash:
                 raise CorruptChain(i, "broken link to the previous block")
-            recomputed = compute_block_hash(
-                block.index, block.prev_hash, block.timestamp, block.validator, list(block.transactions)
-            )
+            if payload is None:
+                recomputed = compute_block_hash(
+                    block.index, block.prev_hash, block.timestamp, block.validator, list(block.transactions)
+                )
+            else:
+                recomputed = hash_payload(payload)
             if recomputed != block.block_hash:
                 raise CorruptChain(i, "block hash mismatch")
             # A failure discards this half-built ledger, so transactions apply to records unstaged.
@@ -377,33 +393,25 @@ def append_chain_file(path: Path | str, block: Block) -> None:
         fh.flush()
 
 
-def _parse_block_line(line: bytes) -> Block:
+def _parse_block_line(line: bytes) -> tuple[Block, bytes]:
+    """The block on a canonical line, and its hash payload: ``{`` plus the line after ``"block_hash":<value>,``."""
     raw = json.loads(line.decode("utf-8"))
     if not isinstance(raw, dict) or set(raw) != _BLOCK_KEYS:
         raise ValueError("block line has unexpected fields")
-    block = Block(
-        index=raw["index"],
-        prev_hash=raw["prev_hash"],
-        timestamp=raw["timestamp"],
-        validator=raw["validator"],
-        transactions=tuple(raw["transactions"]),
-        block_hash=raw["block_hash"],
-    )
-    if canonical_json(block.to_dict()) != line:
+    block = Block(**{**raw, "transactions": tuple(raw["transactions"])})
+    # A non-list ``transactions`` dumps differently once held as a tuple, so it is not canonical.
+    if type(raw["transactions"]) is not list or canonical_json(raw) != line:
         raise ValueError("block line is not in canonical form")
-    return block
-
-
-def _chain_lines(data: bytes) -> list[bytes]:
-    lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    return lines
+    prefix = len(b'{"block_hash":') + len(canonical_json(raw["block_hash"])) + 1
+    return block, b"{" + line[prefix:]
 
 
 def _parse_blocks(data: bytes):
-    """The blocks of ``chain.jsonl`` bytes, parsed one line at a time as they are consumed."""
-    for i, line in enumerate(_chain_lines(data)):
+    """The blocks of ``chain.jsonl`` bytes and their hash payloads, parsed one line at a time as they are consumed."""
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    for i, line in enumerate(lines):
         try:
             yield _parse_block_line(line)
         except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
@@ -411,13 +419,15 @@ def _parse_blocks(data: bytes):
 
 
 def read_ledger(path: Path | str) -> Ledger:
-    """Parse, hash-check, link-check and fold ``chain.jsonl`` in one pass.
+    """Parse, hash-check (over each line's own payload slice), link-check and fold ``chain.jsonl`` in one pass.
 
     Each line is parsed only once the lines before it have verified, so a
     ``CorruptChain`` (a ValueError) names the height (line number) of the
     first failure of any kind.
     """
-    return Ledger(_parse_blocks(Path(path).read_bytes()))
+    loaded = Ledger.__new__(Ledger)
+    loaded._load(_parse_blocks(Path(path).read_bytes()))
+    return loaded
 
 
 def load_chain(path: Path | str) -> list[Block]:

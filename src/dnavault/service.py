@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -57,19 +58,17 @@ class StorageService:
         self._rehydrate_beads()
 
     def _rehydrate_beads(self) -> None:
-        """Re-install persisted bead content per the ledger's placement map."""
+        """Re-install persisted bead content per the ledger's placement map; ``beads/`` is listed once."""
         beads_dir = self.config.state_dir / "beads"
-        cache = {}
+        present = set(os.listdir(beads_dir)) if beads_dir.is_dir() else set()
+        loaded = {}
         for record in self.contract.ledger.records.values():
             for bead_id, node_id in record.bead_locations:
-                if node_id not in self.cluster.nodes:
-                    continue  # topology shrank since upload; replica is gone
-                if bead_id not in cache:
-                    bead_path = beads_dir / bead_id
-                    if not bead_path.exists():
-                        continue
-                    cache[bead_id] = load_bead(beads_dir, bead_id)
-                self.cluster.install_bead(node_id, cache[bead_id])
+                # skip a bead never written, and a replica whose node left the topology since upload
+                if bead_id in present and node_id in self.cluster.nodes:
+                    if bead_id not in loaded:
+                        loaded[bead_id] = load_bead(beads_dir, bead_id)
+                    self.cluster.install_bead(node_id, loaded[bead_id])
 
     # --- operations (raise StorageError subclasses on failure) ---
 
@@ -176,10 +175,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0:
+        """Read the whole body, so that none of it is left on the stream to be parsed as the next request."""
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):  # a negative length would block rfile.read until hang-up
             self.close_connection = True  # the body's end is unknown, so the stream cannot be reused
-            raise BadRequest(f"negative Content-Length {length}")
+            raise BadRequest(f"unreadable Content-Length {raw!r}")
+        length = int(raw)
         return self.rfile.read(length) if length else b""
 
     # --- dispatch ---
@@ -191,9 +192,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._answer(self._post)
 
     def _answer(self, route) -> None:
-        """Run ``route``; any failure becomes its error's status and a JSON ``error``/``detail`` body."""
+        """Run ``route`` on the request body; a failure becomes its error's status and a JSON ``error``/``detail``."""
         try:
-            route()
+            route(self._body())
         except Exception as exc:  # noqa: BLE001 - every failure becomes a status
             if isinstance(exc, StorageError):
                 status = exc.http_status
@@ -204,7 +205,7 @@ class _Handler(BaseHTTPRequestHandler):
                 log.exception("unhandled error on %s %s", self.command, self.path)
             self._send_json(status, {"error": type(exc).__name__, "detail": str(exc)})
 
-    def _get(self) -> None:
+    def _get(self, body: bytes) -> None:  # a GET body is read and ignored
         if match := _FILE_ROUTE.match(self.path):
             requester = self.headers.get("X-Requester", "")
             key = self.headers.get("X-Key") or None
@@ -218,9 +219,8 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             raise NotFound(self.path)
 
-    def _post(self) -> None:
+    def _post(self, body: bytes) -> None:
         if self.path == "/files":
-            body = self._body()
             if not body:
                 raise EmptyInput("request body is empty")
             owner = self.headers.get("X-Owner", "")
@@ -228,7 +228,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(201, self.service.upload(owner, body, key))
         elif match := _PERM_ROUTE.match(self.path):
             try:
-                payload = json.loads(self._body() or b"{}")
+                payload = json.loads(body or b"{}")
             except json.JSONDecodeError as exc:
                 raise BadRequest(f"invalid JSON body: {exc}") from None
             if not isinstance(payload, dict):

@@ -17,9 +17,11 @@ consumed in order: for synthesis one dropout draw first, then one draw per
 base; for a read, one draw per base. A base substitutes when the draw u
 satisfies ``u < floor(rate * 2**64)`` (rate >= 1 always substitutes), and
 the replacement is ``(original + 1 + ((u >> 32) % 3)) % 4`` so it always
-differs from the original. Reads are emitted round-major: every stored
-oligo once at read index 0, then all again at index 1, so a lower coverage
-is a prefix of a higher one.
+differs from the original. At substitution rate 0 no draw could
+substitute, so the per-base draws are skipped; the dropout draw is still
+taken. Reads are emitted round-major: every stored oligo once at read index
+0, then all again at index 1, so a lower coverage is a prefix of a higher
+one.
 
 Indels are out of scope; framing stays fixed-length so the consensus step
 can vote position by position. Consensus works on the ``(n, L)`` matrix of
@@ -83,13 +85,11 @@ class ReadSet:
     coverage: int
 
 
-def _threshold(rate: float) -> int | None:
-    """Integer comparison threshold for ``u < rate * 2**64``; None means never."""
-    if rate <= 0.0:
-        return None
+def _hits(u: np.ndarray, rate: float) -> np.ndarray:
+    """Which draws ``u`` satisfy ``u < floor(rate * 2**64)``; at rate >= 1 every draw does."""
     if rate >= 1.0:
-        return 1 << 64  # every 64-bit draw is below this
-    return int(rate * (1 << 64))
+        return np.ones(len(u), dtype=bool)  # 2**64 does not fit a uint64
+    return u < np.uint64(int(rate * (1 << 64)))
 
 
 def _to_codes(oligos: list[str]) -> np.ndarray:
@@ -106,18 +106,13 @@ def _to_strings(codes: np.ndarray) -> list[str]:
 
 
 def _substitute(codes: np.ndarray, states: np.ndarray, rate: float) -> np.ndarray:
-    """Advance each stream once per base position, substituting in place."""
-    threshold = _threshold(rate)
+    """A copy of ``codes`` substituted by one draw per stream and base; at rate 0, ``codes`` itself, drawing nothing."""
+    if rate <= 0.0:
+        return codes
     out = codes.copy()
-    length = codes.shape[1]
-    for pos in range(length):
+    for pos in range(codes.shape[1]):
         u = step_states(states)
-        if threshold is None:
-            continue
-        if threshold >= 1 << 64:
-            mask = np.ones(len(u), dtype=bool)
-        else:
-            mask = u < np.uint64(threshold)
+        mask = _hits(u, rate)
         if not mask.any():
             continue
         offset = ((u[mask] >> np.uint64(32)) % np.uint64(3)).astype(np.uint8)
@@ -142,13 +137,7 @@ def synthesize(oligos: list[str], manifest: Manifest, model: ErrorModel, bead_id
     states = seed_states(seeds)
 
     u0 = step_states(states)  # dropout draw, consumed even at rate 0
-    drop_threshold = _threshold(model.oligo_dropout_rate)
-    if drop_threshold is None:
-        kept = np.ones(len(oligos), dtype=bool)
-    elif drop_threshold >= 1 << 64:
-        kept = np.zeros(len(oligos), dtype=bool)
-    else:
-        kept = ~(u0 < np.uint64(drop_threshold))
+    kept = ~_hits(u0, model.oligo_dropout_rate)
 
     codes = _substitute(_to_codes(oligos), states, model.substitution_rate)
     stored = [s for s, keep in zip(_to_strings(codes), kept) if keep]

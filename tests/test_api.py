@@ -248,3 +248,44 @@ def test_crash_consistency_across_restart(tmp_path):
         assert status == 200 and body == data
         # and the restarted service still accepts new uploads
         assert upload(base, b"post-restart upload")[0] == 201
+
+
+def read_until_closed(sock) -> tuple[bytes, bool]:
+    """Everything the server sends, and whether it closed the connection (False: it went quiet for 3 s)."""
+    reply = b""
+    try:
+        while chunk := sock.recv(4096):
+            reply += chunk
+    except socket.timeout:
+        return reply, False
+    return reply, True
+
+
+def test_an_unread_body_is_not_parsed_as_the_next_request(service):
+    # Routes that ignore their body used to leave it on the keep-alive stream.
+    smuggled = b"POST /nodes/node-02/fail HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+    conn = http.client.HTTPConnection(*address(service), timeout=5)
+    try:
+        for method, path in (("POST", "/nodes/node-01/restore"), ("GET", "/chain"), ("POST", "/nowhere")):
+            conn.request(method, path, body=smuggled)
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == (404 if path == "/nowhere" else 200)
+        conn.request("GET", "/nodes")
+        nodes = json.loads(conn.getresponse().read())["nodes"]
+    finally:
+        conn.close()
+    assert all(node["online"] for node in nodes)
+
+
+@pytest.mark.parametrize("length", [b"abc", b"-1", b"1_0", b"+3", b"0x10"])
+def test_an_unreadable_content_length_closes_the_connection(service, length):
+    request = b"POST /files HTTP/1.1\r\nHost: x\r\nX-Owner: alice\r\nContent-Length: " + length + b"\r\n\r\n"
+    with socket.create_connection(address(service), timeout=3) as sock:
+        sock.sendall(request + b"GET /chain HTTP/1.1\r\nHost: x\r\n\r\n")
+        reply, closed = read_until_closed(sock)
+    assert closed
+    assert reply.count(b"HTTP/1.1 ") == 1  # the GET behind the unreadable body is never answered
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert json.loads(body)["error"] == "BadRequest"

@@ -190,13 +190,13 @@ def counting(monkeypatch, name: str, counts: dict):
 def test_operations_never_replay_the_chain(tmp_path, monkeypatch):
     height = 300
     config = deep_state(tmp_path, height)
-    counts = dict.fromkeys(("verify_chain", "fold_records", "compute_block_hash"), 0)
+    counts = dict.fromkeys(("verify_chain", "fold_records", "hash_payload"), 0)
     for name in counts:
         counting(monkeypatch, name, counts)
 
     service = StorageService(ServiceConfig.load_or_create(config.state_dir))
     # one pass over the file: each stored block hashed once, no separate verify or fold
-    assert counts == {"verify_chain": 0, "fold_records": 0, "compute_block_hash": height + 1}
+    assert counts == {"verify_chain": 0, "fold_records": 0, "hash_payload": height + 1}
 
     counts.update(dict.fromkeys(counts, 0))
     data = b"incremental ledger payload " * 3
@@ -206,7 +206,7 @@ def test_operations_never_replay_the_chain(tmp_path, monkeypatch):
     assert service.download("carol", receipt["file_hash"]) == data
     service.change_permission("alice", receipt["file_hash"], "revoke", "carol")
     # three writes, each hashing only its own block
-    assert counts == {"verify_chain": 0, "fold_records": 0, "compute_block_hash": 3}
+    assert counts == {"verify_chain": 0, "fold_records": 0, "hash_payload": 3}
 
     assert verify_chain(service.contract.chain) == (True, None)
     assert service.contract.ledger.records == fold_records(service.contract.chain)

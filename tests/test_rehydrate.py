@@ -1,0 +1,83 @@
+"""Reopening a state directory: which persisted beads come back, and onto which nodes."""
+
+import json
+import random
+import shutil
+
+import pytest
+
+from dnavault import service as service_module
+from dnavault.config import ServiceConfig
+from dnavault.errors import BeadUnavailable
+from dnavault.service import StorageService
+
+FILES = [random.Random(i).randbytes(600) for i in range(3)]
+
+
+@pytest.fixture
+def stored(tmp_path):
+    """A state directory holding three uploaded files, and their receipts."""
+    state = tmp_path / "state"
+    first = StorageService(ServiceConfig.load_or_create(state))
+    receipts = [first.upload("alice", data) for data in FILES]
+    assert [first.download("alice", r["file_hash"]) for r in receipts] == FILES
+    return state, receipts
+
+
+def reopen(state) -> StorageService:
+    return StorageService(ServiceConfig.load_or_create(state))
+
+
+def test_a_bead_missing_from_disk_is_skipped(stored):
+    state, receipts = stored
+    lost = receipts[1]["bead_ids"][0]
+    shutil.rmtree(state / "beads" / lost)
+
+    service = reopen(state)
+    assert all(lost not in node.beads for node in service.cluster.nodes.values())
+    with pytest.raises(BeadUnavailable):
+        service.download("alice", receipts[1]["file_hash"])
+    for i in (0, 2):
+        assert service.download("alice", receipts[i]["file_hash"]) == FILES[i]
+
+
+def test_a_node_missing_from_the_topology_is_skipped(stored):
+    state, receipts = stored
+    gone = receipts[0]["placement"][0][1]
+    config = json.loads((state / "config.json").read_text())
+    config["topology"] = [entry for entry in config["topology"] if entry["node_id"] != gone]
+    (state / "config.json").write_text(json.dumps(config))
+
+    service = reopen(state)
+    assert gone not in service.cluster.nodes
+    for receipt, data in zip(receipts, FILES):
+        for bead_id, node_id in receipt["placement"]:
+            if node_id != gone:
+                assert bead_id in service.cluster.nodes[node_id].beads
+        assert service.download("alice", receipt["file_hash"]) == data
+
+
+def test_each_bead_on_disk_is_loaded_once_and_installed_on_every_listed_node(stored, monkeypatch):
+    state, receipts = stored
+    loads = []
+    original = service_module.load_bead
+
+    def counted(beads_dir, bead_id):
+        loads.append(bead_id)
+        return original(beads_dir, bead_id)
+
+    monkeypatch.setattr(service_module, "load_bead", counted)
+    service = reopen(state)
+
+    on_disk = sorted(path.name for path in (state / "beads").iterdir())
+    assert sorted(loads) == on_disk == sorted(b for r in receipts for b in r["bead_ids"])
+    for receipt in receipts:
+        for bead_id in receipt["bead_ids"]:
+            holders = [n for b, n in receipt["placement"] if b == bead_id]
+            assert len(holders) == 3
+            installed = [service.cluster.nodes[n].beads[bead_id] for n in holders]
+            assert all(bead is installed[0] for bead in installed)  # one loaded copy, shared
+        for bead_id, node_id in receipt["placement"]:
+            assert bead_id in service.cluster.nodes[node_id].beads
+    held = {(b, n.node_id) for n in service.cluster.nodes.values() for b in n.beads}
+    assert held == {(b, n) for r in receipts for b, n in r["placement"]}
