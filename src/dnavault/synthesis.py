@@ -17,11 +17,9 @@ consumed in order: for synthesis one dropout draw first, then one draw per
 base; for a read, one draw per base. A base substitutes when the draw u
 satisfies ``u < floor(rate * 2**64)`` (rate >= 1 always substitutes), and
 the replacement is ``(original + 1 + ((u >> 32) % 3)) % 4`` so it always
-differs from the original. At substitution rate 0 no draw could
-substitute, so the per-base draws are skipped; the dropout draw is still
-taken. Reads are emitted round-major: every stored oligo once at read index
-0, then all again at index 1, so a lower coverage is a prefix of a higher
-one.
+differs from the original. Reads are emitted round-major: every stored
+oligo once at read index 0, then all again at index 1, so a lower coverage
+is a prefix of a higher one.
 
 Indels are out of scope; framing stays fixed-length so the consensus step
 can vote position by position. Consensus works on the ``(n, L)`` matrix of
@@ -106,12 +104,12 @@ def _to_strings(codes: np.ndarray) -> list[str]:
 
 
 def _substitute(codes: np.ndarray, states: np.ndarray, rate: float) -> np.ndarray:
-    """A copy of ``codes`` substituted by one draw per stream and base; at rate 0, ``codes`` itself, drawing nothing."""
-    if rate <= 0.0:
-        return codes
+    """A copy of ``codes`` substituted by one draw per stream and base."""
     out = codes.copy()
     for pos in range(codes.shape[1]):
         u = step_states(states)
+        if rate <= 0.0:
+            continue  # nothing substitutes, but the draw is still taken, as the randomness contract says
         mask = _hits(u, rate)
         if not mask.any():
             continue

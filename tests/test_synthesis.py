@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from dnavault import synthesis as synthesis_module
 from dnavault.errors import EmptyBead
 from dnavault.fountain import droplet_to_oligo, encode_droplets, fragment
 from dnavault.rng import Xorshift64Star, derive_seed, substream
@@ -233,28 +232,3 @@ def test_bead_save_load_roundtrip(tmp_path):
     back = load_bead(tmp_path / "beads", "disk-bead")
     assert back.oligos == bead.oligos
     assert back.manifest == manifest
-
-
-@pytest.mark.parametrize("seed", [0, 7, 123])
-def test_zero_rate_channel_returns_the_input_bases(seed, monkeypatch):
-    oligos, manifest = make_oligos(count=9, seed=seed)
-    steps = []
-    step_states = synthesis_module.step_states
-
-    def counted(states):
-        steps.append(len(states))
-        return step_states(states)
-
-    monkeypatch.setattr(synthesis_module, "step_states", counted)
-    bead = synthesize(oligos, manifest, ErrorModel(0.0, rng_seed=seed), "b")
-    assert bead.oligos == oligos
-    assert steps == [len(oligos)]  # the dropout draw only; no draw could substitute a base
-
-    steps.clear()
-    reads = sequence_bead(bead, 4, ErrorModel(0.0, rng_seed=seed))
-    assert reads.reads == oligos * 4  # round-major copies of the stored oligos
-    assert steps == []
-
-    dropped = synthesize(oligos, manifest, ErrorModel(0.0, oligo_dropout_rate=0.5, rng_seed=seed), "b")
-    assert set(dropped.oligos) <= set(oligos)
-    assert dropped.oligos == [o for o in oligos if o in dropped.oligos]  # kept oligos keep their bases and order
