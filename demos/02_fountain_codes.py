@@ -20,6 +20,7 @@ from dnavault.fountain import (
     fragment,
     oligo_to_droplet,
     screen_oligo,
+    split_frames,
 )
 
 K = 64
@@ -42,7 +43,7 @@ print("2. DROPLETS AND THEIR OLIGOS")
 print("=" * 70)
 data = random.Random(2).randbytes(K * SEGMENT - 7)
 segments, length = fragment(data, SEGMENT)
-droplets = encode_droplets(segments, count=int(K * 1.6), rng_seed=42)
+droplets = encode_droplets(segments, count=int(K * 1.6), rng_seed=42).droplets()
 print(f"  {len(data)} bytes -> {len(segments)} segments -> {len(droplets)} droplets")
 print("  sampled degrees:", dict(sorted(Counter(d.degree for d in droplets).items())))
 oligo = droplet_to_oligo(droplets[0])
@@ -78,8 +79,9 @@ for overhead in (1.0, 1.1, 1.3, 1.5, 1.7):
         trial_data = random.Random(seed).randbytes(BIG_K * SEGMENT)
         segs, ln = fragment(trial_data, SEGMENT)
         drops = encode_droplets(segs, max(BIG_K, math.ceil(BIG_K * overhead)), rng_seed=seed)
+        seeds, payloads, _ = split_frames(drops.frames)
         try:
-            wins += decode(drops, BIG_K, SEGMENT, ln) == trial_data
+            wins += decode(seeds, payloads, BIG_K, ln) == trial_data
         except InsufficientDroplets:
             pass
     print(f"  {overhead:8.1f} | {'#' * wins}{'.' * (20 - wins)} {wins}/20")

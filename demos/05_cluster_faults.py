@@ -11,8 +11,9 @@ import hashlib
 import itertools
 from collections import Counter
 
+from dnavault.dna_codec import oligo_codes
 from dnavault.errors import BeadUnavailable
-from dnavault.ledger import CodecParams, FileRecord, Validator, append_block, genesis, record_create
+from dnavault.ledger import CodecParams, FileRecord, Validator, append_block, fold_records, genesis, record_create
 from dnavault.network import Cluster, PlacementPolicy
 from dnavault.synthesis import Bead, Manifest
 
@@ -20,7 +21,7 @@ print("=" * 70)
 print("1. RENDEZVOUS PLACEMENT IS BALANCED AND DETERMINISTIC")
 print("=" * 70)
 cluster = Cluster([f"n{i}" for i in range(8)])
-beads = [Bead(f"bead.{i}", ["ACGTACGT"], Manifest(1, 1, 1, 1)) for i in range(120)]
+beads = [Bead(f"bead.{i}", oligo_codes(["ACGTACGT"]), Manifest(1, 1, 1, 1)) for i in range(120)]
 placement = cluster.place_beads(beads, PlacementPolicy(3), placement_seed=11)
 load = Counter(node_id for _, node_id in placement)
 for node_id in sorted(load):
@@ -62,9 +63,9 @@ record = FileRecord(
 )
 chain = [genesis()]
 append_block(chain, [record_create(record)], [Validator("v", 1)], 1)
-print(f"  healthy: flagged={cluster.audit_redundancy(chain).flagged}")
+print(f"  healthy: flagged={cluster.audit_redundancy(fold_records(chain)).flagged}")
 cluster.fail_node(hosts[0])
-report = cluster.audit_redundancy(chain)
+report = cluster.audit_redundancy(fold_records(chain))
 for entry in report.flagged:
     print(f"  {hosts[0]} down: bead {entry.bead_id} live {entry.replicas_live}/{entry.replicas_expected} -> under-replicated")
 cluster.restore_node(hosts[0])

@@ -70,7 +70,7 @@ roundtrip = contract.download_file("bob", receipt.file_hash, key=key)
 print(f"  bob downloaded {len(roundtrip)} bytes in {time.perf_counter() - start:.2f}s")
 print(f"  byte-identical to the original: {roundtrip == data}")
 
-audit = cluster.audit_redundancy(contract.chain)
+audit = cluster.audit_redundancy(contract.ledger.records)
 print(f"  audit flags {len(audit.flagged)} under-replicated placements while {victim} is down")
 cluster.restore_node(victim)
-print(f"  restored {victim}; audit flags: {len(cluster.audit_redundancy(contract.chain).flagged)}")
+print(f"  restored {victim}; audit flags: {len(cluster.audit_redundancy(contract.ledger.records).flagged)}")

@@ -5,19 +5,20 @@ Upload order (one atomic ledger transaction at the end):
 1. hash the plaintext (SHA-256 -- the content address and later integrity
    check), reject duplicates;
 2. optionally encrypt with the caller's key sequence;
-3. fragment into segments, fountain-encode ``ceil(overhead * K)`` droplets,
-   render each as a screened oligo;
-4. deal oligos round-robin into up to ``beads_per_file`` beads and run each
-   through the synthesis error channel;
+3. fragment into segments, fountain-encode ``ceil(overhead * K)`` droplets
+   whose oligos pass the screen, as rows of one base-code matrix;
+4. deal the rows round-robin into up to ``beads_per_file`` beads and run
+   each through the synthesis error channel;
 5. place every bead on ``replication`` nodes;
 6. append one record-create transaction carrying hash, owner, timestamp,
    the full placement map and the codec parameters.
 
 Download reverses it: permission check against the ledger's current
 record, retrieve each bead from any online replica, sequence at the
-configured coverage, collapse reads to consensus oligos, parse
-(CRC-filtering) into droplets, peel, optionally decrypt, and refuse to
-return bytes whose hash does not match the record.
+configured coverage, collapse reads to the frames of CRC-valid consensus
+oligos, take each seed once (first seen), peel, optionally decrypt, and
+refuse to return bytes whose hash does not match the record. Oligos stay
+base-code matrices and frames stay byte rows from encode to decode.
 
 The engine holds a ``Ledger``: uploads, downloads and permission changes
 read its current records and append one block checked against them, so no
@@ -35,10 +36,11 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import ledger
 from .dna_codec import keystream_encrypt
 from .errors import (
-    ChecksumMismatch,
     DecodeFailed,
     DuplicateFile,
     EmptyInput,
@@ -51,13 +53,14 @@ from .errors import (
 )
 from .fountain import (
     DEFAULT_SCREEN,
+    OLIGO_HEADER_BYTES,
+    DropletBatch,
     OligoScreen,
     decode,
-    droplet_to_oligo,
     encode_droplets,
     fragment,
-    oligo_to_droplet,
     recoverable_segments,
+    split_frames,
 )
 from .ledger import Block, CodecParams, FileRecord, Ledger, Validator, save_chain
 from .network import Cluster, PlacementPolicy
@@ -172,7 +175,7 @@ class StorageContract:
     _ENCODE_SEEDS = 4
     _ENCODE_BOOSTS = (1.0, 1.15, 1.3)
 
-    def _encode_decodable(self, segments, count, file_hash, params) -> list:
+    def _encode_decodable(self, segments, count, file_hash, params) -> DropletBatch:
         """Encode droplets whose index sets provably peel under zero noise.
 
         Peeling can stall for an unlucky seed at small K even above the
@@ -190,14 +193,14 @@ class StorageContract:
             for boost in self._ENCODE_BOOSTS:
                 boosted = math.ceil(count * boost)
                 try:
-                    droplets = encode_droplets(segments, boosted, seed, screen=params.screen)
+                    batch = encode_droplets(segments, boosted, seed, screen=params.screen)
                 except ScreenStarvation:
-                    droplets = encode_droplets(segments, boosted, seed, screen=None)
-                recovered = recoverable_segments(droplets, k)
+                    batch = encode_droplets(segments, boosted, seed, screen=None)
+                recovered = recoverable_segments(batch.offsets, batch.indices, k)
                 if recovered == k:
-                    return droplets
+                    return batch
                 if recovered > best_recovered:
-                    best, best_recovered = droplets, recovered
+                    best, best_recovered = batch, recovered
         return best
 
     def upload_file(self, owner: str, data: bytes, params: StoreParams | None = None) -> UploadReceipt:
@@ -216,16 +219,14 @@ class StorageContract:
         segments, original_length = fragment(payload, params.segment_size)
         k = len(segments)
         count = max(k, math.ceil(k * params.overhead))
-        droplets = self._encode_decodable(segments, count, file_hash, params)
-        oligos = [droplet_to_oligo(d) for d in droplets]
+        codes = self._encode_decodable(segments, count, file_hash, params).codes
 
         # Round-robin assignment; tiny files get fewer beads rather than empty ones.
-        n_beads = min(params.beads_per_file, len(oligos))
+        n_beads = min(params.beads_per_file, len(codes))
         beads = []
         for i in range(n_beads):
-            bead_oligos = oligos[i::n_beads]
-            manifest = Manifest(k, params.segment_size, original_length, len(bead_oligos))
-            beads.append(synthesize(bead_oligos, manifest, params.error_model, f"{file_hash[:16]}.{i}"))
+            manifest = Manifest(k, params.segment_size, original_length, len(codes[i::n_beads]))
+            beads.append(synthesize(codes[i::n_beads], manifest, params.error_model, f"{file_hash[:16]}.{i}"))
 
         placement = self.cluster.place_beads(
             beads, PlacementPolicy(params.replication), derive_seed("placement", file_hash)
@@ -258,24 +259,18 @@ class StorageContract:
         for bead_id, node_id in record.bead_locations:
             per_bead.setdefault(bead_id, []).append((bead_id, node_id))
 
-        droplets = []
-        seen_seeds: set[int] = set()
+        frames = [np.zeros((0, OLIGO_HEADER_BYTES + cp.segment_size), dtype=np.uint8)]
         for bead_id, locations in per_bead.items():
             bead = self.cluster.retrieve_bead(bead_id, locations)
-            if not bead.oligos:
+            if not len(bead.codes):
                 continue  # every molecule of this bead dropped out at synthesis
             reads = sequence_bead(bead, self.defaults.coverage, self.defaults.error_model)
-            for oligo in consensus_reads(reads, cp.segment_size):
-                try:
-                    droplet = oligo_to_droplet(oligo, cp.segment_size)
-                except ChecksumMismatch:
-                    continue
-                if droplet.seed not in seen_seeds:
-                    seen_seeds.add(droplet.seed)
-                    droplets.append(droplet)
+            frames.append(consensus_reads(reads, cp.segment_size))
+        seeds, payloads, _ = split_frames(np.concatenate(frames))
+        first = np.sort(np.unique(seeds, return_index=True)[1])  # a seed read on several beads counts once
 
         try:
-            data = decode(droplets, cp.k, cp.segment_size, cp.original_length)
+            data = decode(seeds[first], payloads[first], cp.k, cp.original_length)
         except InsufficientDroplets as exc:
             raise DecodeFailed(exc.recovered, exc.needed) from exc
         if key:

@@ -6,6 +6,8 @@ The base alphabet carries two bits per symbol::
 
 ``bytes_to_dna`` renders each byte as four bases, most-significant bit pair
 first, so the byte and number codecs are exact inverses of each other.
+Equal-length oligos travel as ``(n, L)`` uint8 *base-code matrices* (A=0 ..
+T=3); ``codes_to_bytes`` and ``bytes_to_codes`` map whole matrices.
 
 On top of the numeric mapping sit two DNA-keyed operations:
 
@@ -25,6 +27,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyKey, EmptySequence, InvalidInput, LengthError, NotFactorable
 
 BASES = "ACGT"
@@ -33,6 +37,11 @@ _TO_BASE4 = str.maketrans("ACGT", "0123")
 _BYTE_TO_QUAD = [
     "".join(BASES[(b >> shift) & 0b11] for shift in (6, 4, 2, 0)) for b in range(256)
 ]
+
+# bytes.translate tables, ASCII <-> base code: the line end "\n" is code 4, and any other symbol reads as A.
+CODE_OF_CHAR = bytes(max(b"ACGT\n".find(c), 0) for c in range(256))
+CHAR_OF_CODE = b"ACGT\n".ljust(256, b"A")
+_SHIFTS = np.array([6, 4, 2, 0], dtype=np.uint8)
 
 DEFAULT_MAX_RETRIES = 16
 
@@ -58,6 +67,31 @@ def dna_to_bytes(seq: str) -> bytes:
     if not seq:
         return b""
     return int(seq.translate(_TO_BASE4), 4).to_bytes(len(seq) // 4, "big")
+
+
+def oligo_codes(oligos: list[str]) -> np.ndarray:
+    """Equal-length oligos as an ``(n, L)`` base-code matrix; no oligos give ``(0, 0)``."""
+    if len({len(o) for o in oligos}) > 1:
+        raise ValueError("all oligos must have equal length")
+    codes = np.frombuffer("".join(oligos).encode("ascii").translate(CODE_OF_CHAR), dtype=np.uint8)
+    return codes.reshape(len(oligos), len(oligos[0]) if oligos else 0)
+
+
+def oligo_strings(codes: np.ndarray) -> list[str]:
+    """The rows of a base-code matrix as strings."""
+    n, length = codes.shape
+    text = codes.tobytes().translate(CHAR_OF_CODE).decode("ascii")
+    return [text[i * length : (i + 1) * length] for i in range(n)]
+
+
+def codes_to_bytes(codes: np.ndarray) -> np.ndarray:
+    """``(n, 4B)`` base codes to the ``(n, B)`` bytes they spell, first base in the top bits."""
+    return (codes[:, 0::4] << 6) | (codes[:, 1::4] << 4) | (codes[:, 2::4] << 2) | codes[:, 3::4]
+
+
+def bytes_to_codes(raw: np.ndarray) -> np.ndarray:
+    """``(n, B)`` bytes to the ``(n, 4B)`` base codes of :func:`bytes_to_dna`."""
+    return ((raw[:, :, None] >> _SHIFTS) & 3).reshape(len(raw), -1)
 
 
 def dna_to_number(seq: str) -> int:

@@ -18,10 +18,11 @@ runs, GC window) are discarded and regenerated from the next seed.
 
 Each droplet's plan (degree and segment indices) is derived once, in batch,
 and bit-identically to the scalar :func:`droplet_plan`: the encoder plans,
-XORs, frames and screens candidates a batch at a time on numpy arrays, and
-every accepted droplet carries its index set into the peelability check.
-Decoding plans all received droplets in one batch. Both peel with one core
-over CSR index arrays.
+XORs, frames and screens candidates a batch at a time on numpy arrays and
+hands back a :class:`DropletBatch` (frames, the code rows it screened, CSR
+plans), so no droplet is framed, rendered or planned twice. Decoding plans
+seeds and payload rows in one batch. Both peel with one core over CSR index
+arrays. :class:`Droplet` and the oligo string helpers are edge conversions.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import math
 import struct
 import zlib
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dna_codec import bytes_to_dna, dna_to_bytes
+from .dna_codec import CHAR_OF_CODE, CODE_OF_CHAR, bytes_to_codes, bytes_to_dna, dna_to_bytes, oligo_codes
 from .errors import ChecksumMismatch, EmptyInput, InsufficientDroplets, LengthError, ScreenStarvation
 from .rng import Xorshift64Star, plan_batch
 
@@ -57,9 +58,22 @@ class Droplet:
     payload: bytes
     checksum: int
     degree: int | None = None
-    # Sorted segment indices of the seed's plan, carried from encoding so the
-    # peel check need not derive them again; None when parsed from an oligo.
-    indices: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class DropletBatch:
+    """Droplets as rows: ``frames[i]`` is seed || payload || CRC-32, ``codes[i]`` its
+    base codes, and its plan is ``indices[offsets[i]:offsets[i + 1]]``."""
+
+    frames: np.ndarray
+    codes: np.ndarray
+    offsets: np.ndarray
+    indices: np.ndarray
+
+    def droplets(self) -> list[Droplet]:
+        """The rows as :class:`Droplet` objects, degrees filled."""
+        seeds, payloads, checksums = split_frames(self.frames)
+        return list(map(Droplet, seeds.tolist(), map(bytes, payloads), checksums.tolist(), np.diff(self.offsets).tolist()))
 
 
 class RobustSoliton:
@@ -118,7 +132,7 @@ class OligoScreen:
         return screen_oligo(seq, self.max_homopolymer, self.gc_min, self.gc_max)
 
     def accepts_codes(self, codes: np.ndarray) -> np.ndarray:
-        """:meth:`accepts` for each row of an ``(n, L)`` matrix of base codes (A=0 .. T=3), L >= 1.
+        """Which rows of an ``(n, L)`` matrix of base codes (A=0 .. T=3, L >= 1) pass the screen.
 
         A run longer than the cap is ``max_homopolymer`` equal neighbours in a
         row; the GC fraction is the count of C and G codes over L.
@@ -159,17 +173,43 @@ def plan_droplets(seeds, k: int, dist: RobustSoliton) -> tuple[np.ndarray, np.nd
     return plan_batch(np.asarray(seeds, dtype=np.uint64), dist.cdf, k)
 
 
-def _segment_words(payloads: list[bytes], segment_size: int) -> np.ndarray:
-    """Payloads as rows of native uint64 words, zero-padded to whole words (XOR is bytewise)."""
-    width = -(-segment_size // 8) * 8
-    joined = b"".join(p.ljust(width, b"\x00") for p in payloads)
-    return np.frombuffer(joined, dtype=np.uint64).reshape(len(payloads), width // 8)
+def _segment_words(payloads: np.ndarray) -> np.ndarray:
+    """``(n, segment_size)`` payload bytes as rows of native uint64 words, zero-padded to whole words (XOR is bytewise)."""
+    n, size = payloads.shape
+    words = np.zeros((n, -(-size // 8) * 8), dtype=np.uint8)
+    words[:, :size] = payloads
+    return words.view(np.uint64)
 
 
-def _codes_of_bytes(raw: np.ndarray) -> np.ndarray:
-    """``(n, B)`` bytes to the ``(n, 4B)`` base codes of :func:`bytes_to_dna` (A=0 .. T=3)."""
-    shifts = np.array([6, 4, 2, 0], dtype=np.uint8)
-    return ((raw[:, :, None] >> shifts) & 3).reshape(len(raw), -1)
+def split_frames(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeds, ``(n, segment_size)`` payloads and CRC fields of ``(n, 8 + segment_size)`` frame rows."""
+    words = np.ascontiguousarray(frames[:, [0, 1, 2, 3, -4, -3, -2, -1]]).view(">u4")  # the fields, big-endian
+    return words[:, 0], frames[:, 4:-4], words[:, 1]
+
+
+# zlib's CRC-32 (reflected polynomial 0xEDB88320) as lookup tables: _CRC_BYTE steps the state over one byte;
+# _CRC_LOW[c & 0xFFFF] ^ _CRC_HIGH[c >> 16] steps it over four, c being the state XOR their little-endian word.
+_CRC_BYTE = np.arange(256, dtype=np.uint32)
+for _ in range(8):
+    _CRC_BYTE = np.where(_CRC_BYTE & 1, (_CRC_BYTE >> 1) ^ 0xEDB88320, _CRC_BYTE >> 1)
+_CRC_AHEAD = [_CRC_BYTE]  # entry j: a byte's step followed by j zero bytes
+for _ in range(3):
+    _CRC_AHEAD.append((_CRC_AHEAD[-1] >> 8) ^ _CRC_BYTE[_CRC_AHEAD[-1] & 0xFF])
+_LOW, _HIGH = np.arange(1 << 16) & 0xFF, np.arange(1 << 16) >> 8
+_CRC_LOW, _CRC_HIGH = _CRC_AHEAD[3][_LOW] ^ _CRC_AHEAD[2][_HIGH], _CRC_AHEAD[1][_LOW] ^ _CRC_AHEAD[0][_HIGH]
+
+
+def frame_crcs(frames: np.ndarray) -> np.ndarray:
+    """``zlib.crc32`` of each frame row's seed and payload (all but its last 4 bytes), four byte columns at a time."""
+    data = frames[:, :-4]
+    whole = data.shape[1] // 4 * 4
+    crc = np.full(len(frames), 0xFFFFFFFF, dtype=np.uint32)
+    for word in np.ascontiguousarray(data[:, :whole]).view("<u4").T:
+        crc ^= word
+        crc = _CRC_LOW[crc & 0xFFFF] ^ _CRC_HIGH[crc >> 16]
+    for column in data[:, whole:].T:
+        crc = _CRC_BYTE[(crc ^ column) & 0xFF] ^ (crc >> 8)
+    return crc ^ np.uint32(0xFFFFFFFF)
 
 
 # Candidates planned, framed and screened per batch; bounds the temporaries.
@@ -183,15 +223,15 @@ def encode_droplets(
     dist: RobustSoliton | None = None,
     *,
     screen: OligoScreen | None = None,
-) -> list[Droplet]:
+) -> DropletBatch:
     """Generate exactly ``count`` droplets from a master seed.
 
     Candidate 32-bit droplet seeds come from the top bits of an
     xorshift64* stream seeded with ``rng_seed``; duplicates are skipped so
     every droplet is distinct. With a screen, candidates whose oligo fails
     it are dropped and the next seed is tried. Candidates are planned,
-    framed and screened in batches; the result is the first ``count``
-    accepted candidates in seed order, each carrying its plan's indices.
+    framed and screened in batches; the result holds the first ``count``
+    accepted candidates in seed order: their frames, base codes and plans.
     """
     if not segments:
         raise EmptyInput("no segments to encode")
@@ -200,25 +240,24 @@ def encode_droplets(
     k = len(segments)
     dist = dist or RobustSoliton(k)
     segment_size = len(segments[0].payload)
-    seg_words = _segment_words([s.payload for s in segments], segment_size)
+    seg_words = _segment_words(np.frombuffer(b"".join(s.payload for s in segments), np.uint8).reshape(k, -1))
 
     master = Xorshift64Star(rng_seed)
-    droplets: list[Droplet] = []
+    kept: list[tuple[np.ndarray, ...]] = []  # per batch: accepted frames, codes, plan sizes and plan indices
+    done = 0
     seen: set[int] = set()
     attempts = 0
     budget = 200 * count + 1000  # screen starvation guard
-    while len(droplets) < count:
+    while done < count:
         if attempts >= budget:
-            raise ScreenStarvation(
-                f"screen accepted {len(droplets)} of {count} droplets in {attempts + 1} attempts"
-            )
+            raise ScreenStarvation(f"screen accepted {done} of {count} droplets in {attempts + 1} attempts")
         # Size the batch by the accept ratio so far, so that one more batch usually
         # completes the set; grow it fourfold while nothing has passed the screen.
-        need = count - len(droplets)
+        need = count - done
         if not attempts:
             want = need
-        elif droplets:
-            want = need * attempts // len(droplets) + 1
+        elif done:
+            want = need * attempts // done + 1
         else:
             want = 4 * attempts
         want = min(want, _ENCODE_BATCH)
@@ -237,18 +276,15 @@ def encode_droplets(
         raw = np.empty((n, OLIGO_HEADER_BYTES + segment_size), dtype=np.uint8)
         raw[:, :4] = np.array(seeds, dtype=">u4").view(np.uint8).reshape(n, 4)
         raw[:, 4:-4] = xored.view(np.uint8)[:, :segment_size]
-        framed = memoryview(raw[:, :-4].tobytes())
-        width = 4 + segment_size
-        checksums = [zlib.crc32(framed[i * width : (i + 1) * width]) for i in range(n)]
-        raw[:, -4:] = np.array(checksums, dtype=">u4").view(np.uint8).reshape(n, 4)
-        accepted = np.arange(n) if screen is None else np.flatnonzero(screen.accepts_codes(_codes_of_bytes(raw)))
-        accepted = accepted[: count - len(droplets)]
-        payloads = raw[accepted, 4:-4].tobytes()
-        starts, ends = offsets[accepted].tolist(), offsets[accepted + 1].tolist()
-        for j, i in enumerate(accepted.tolist()):
-            payload = payloads[j * segment_size : (j + 1) * segment_size]
-            droplets.append(Droplet(seeds[i], payload, checksums[i], ends[j] - starts[j], indices[starts[j] : ends[j]]))
-    return droplets
+        raw[:, -4:] = frame_crcs(raw).astype(">u4").view(np.uint8).reshape(n, 4)
+        codes = bytes_to_codes(raw)
+        accepted = np.arange(n) if screen is None else np.flatnonzero(screen.accepts_codes(codes))
+        accepted = accepted[:need]
+        sizes = offsets[accepted + 1] - offsets[accepted]
+        kept.append((raw[accepted], codes[accepted], sizes, indices[_ranges(offsets[accepted], sizes)[0]]))
+        done += len(accepted)
+    frames, codes, sizes, indices = (np.concatenate(parts) for parts in zip(*kept))
+    return DropletBatch(frames, codes, np.concatenate(([0], sizes.cumsum())), indices)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,46 +348,36 @@ def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | Non
     return resolved, seg_values
 
 
-def _plans_of(droplets: list[Droplet], k: int, dist: RobustSoliton | None) -> tuple[np.ndarray, np.ndarray]:
-    """CSR plans of ``droplets``: the indices they carry, else derived in one batch."""
-    if droplets and all(d.indices is not None for d in droplets):
-        offsets = np.zeros(len(droplets) + 1, dtype=np.int64)
-        np.cumsum([len(d.indices) for d in droplets], out=offsets[1:])
-        return offsets, np.concatenate([d.indices for d in droplets])
-    return plan_droplets([d.seed for d in droplets], k, dist or RobustSoliton(k))
-
-
-def recoverable_segments(droplets: list[Droplet], k: int, dist: RobustSoliton | None = None) -> int:
-    """How many segments an error-free peel of this droplet set recovers.
+def recoverable_segments(offsets: np.ndarray, indices: np.ndarray, k: int) -> int:
+    """How many segments an error-free peel of droplets with these CSR plans recovers.
 
     Peeling success depends only on the seed-derived index sets, so this is
-    a cheap decodability check (no payload XOR work). Droplets from
-    :func:`encode_droplets` carry their index sets, so none is derived again.
+    a cheap decodability check (no payload XOR work). A
+    :class:`DropletBatch` from :func:`encode_droplets` carries its plans, so
+    none is derived again.
     """
-    offsets, indices = _plans_of(droplets, k, dist)
     return int(_peel_csr(offsets, indices, None, k)[0].sum())
 
 
 def decode(
-    droplets: list[Droplet],
+    seeds: np.ndarray,
+    payloads: np.ndarray,
     k: int,
-    segment_size: int,
     original_length: int,
     dist: RobustSoliton | None = None,
 ) -> bytes:
-    """Peel the droplet set back into the original bytes.
+    """Peel distinct droplets, given as seeds and ``(n, segment_size)`` payload rows, back into the original bytes.
 
     ``dist`` must match the encoder's distribution (defaults agree with
     :func:`encode_droplets`). Raises :class:`InsufficientDroplets` with the
     recovered count when peeling stalls.
     """
-    offsets, indices = _plans_of(droplets, k, dist)
-    values = _segment_words([d.payload for d in droplets], segment_size)
-    resolved, seg_values = _peel_csr(offsets, indices, values, k)
+    offsets, indices = plan_droplets(seeds, k, dist or RobustSoliton(k))
+    resolved, seg_values = _peel_csr(offsets, indices, _segment_words(payloads), k)
     recovered = int(resolved.sum())
     if recovered < k:
         raise InsufficientDroplets(recovered, k)
-    return seg_values.view(np.uint8)[:, :segment_size].tobytes()[:original_length]
+    return seg_values.view(np.uint8)[:, : payloads.shape[1]].tobytes()[:original_length]
 
 
 def droplet_to_oligo(droplet: Droplet) -> str:
@@ -387,24 +413,8 @@ def oligo_to_droplet(
 
 
 def screen_oligo(seq: str, max_homopolymer: int, gc_min: float, gc_max: float) -> bool:
-    """True iff no homopolymer run exceeds the cap and GC fraction is in range.
-
-    The empty sequence passes (nothing to violate).
-    """
-    if not seq:
-        return True
-    run = 1
-    for prev, cur in zip(seq, seq[1:]):
-        if cur == prev:
-            run += 1
-            if run > max_homopolymer:
-                return False
-        else:
-            run = 1
-    if run > max_homopolymer:
-        return False
-    gc = (seq.count("G") + seq.count("C")) / len(seq)
-    return gc_min <= gc <= gc_max
+    """True iff no homopolymer run exceeds the cap and GC fraction is in range; the empty sequence passes."""
+    return not seq or bool(OligoScreen(max_homopolymer, gc_min, gc_max).accepts_codes(oligo_codes([seq]))[0])
 
 
 # --- oligo file format --------------------------------------------------------
@@ -415,23 +425,29 @@ def screen_oligo(seq: str, max_homopolymer: int, gc_min: float, gc_max: float) -
 #   #K=<int> SEG=<int> LEN=<int>
 
 
-def write_oligo_file(path: Path | str, oligos: list[str], k: int, segment_size: int, original_length: int) -> None:
-    lines = [f"#K={k} SEG={segment_size} LEN={original_length}"]
-    lines.extend(oligos)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+def write_oligo_file(path: Path | str, codes: np.ndarray, k: int, segment_size: int, original_length: int) -> None:
+    """Write the rows of an ``(n, L)`` base-code matrix as oligo lines under the header."""
+    lines = np.empty((len(codes), codes.shape[1] + 1), dtype=np.uint8)
+    lines[:, :-1], lines[:, -1] = codes, 4  # code 4 renders as the line end
+    header = f"#K={k} SEG={segment_size} LEN={original_length}\n".encode("ascii")
+    Path(path).write_bytes(header + lines.tobytes().translate(CHAR_OF_CODE))
 
 
-def read_oligo_file(path: Path | str) -> tuple[list[str], int, int, int]:
-    """Returns (oligos, K, segment_size, original_length)."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = [line for line in text.split("\n") if line]
-    if not lines or not lines[0].startswith("#"):
+def read_oligo_file(path: Path | str) -> tuple[np.ndarray, int, int, int]:
+    """Returns (codes, K, segment_size, original_length); the lines, all non-blank and of one length, as codes."""
+    header, _, body = Path(path).read_bytes().partition(b"\n")
+    if not header.startswith(b"#"):
         raise ValueError(f"{path}: missing oligo file header")
-    fields = dict(item.split("=", 1) for item in lines[0][1:].split())
+    fields = dict(item.split("=", 1) for item in header[1:].decode("ascii").split())
     try:
         k = int(fields["K"])
         segment_size = int(fields["SEG"])
         original_length = int(fields["LEN"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed oligo file header") from exc
-    return lines[1:], k, segment_size, original_length
+    lines = np.frombuffer(body.translate(CODE_OF_CHAR), dtype=np.uint8)
+    width = body.find(b"\n") + 1  # the first line with its line end
+    rows = lines.reshape(-1, width) if width > 1 and len(lines) % width == 0 else lines[:, None]
+    if body and (rows.shape[1] < 2 or (rows[:, -1] != 4).any() or rows[:, :-1].max() > 3):
+        raise ValueError(f"{path}: oligo lines are blank or of unequal length")
+    return rows[:, :-1], k, segment_size, original_length

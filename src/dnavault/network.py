@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .errors import BeadUnavailable, InsufficientNodes, UnknownNode
-from .ledger import Block, fold_records
+from .ledger import FileRecord
 from .synthesis import Bead
 
 
@@ -140,10 +140,10 @@ class Cluster:
         node.online = True
         return node
 
-    def audit_redundancy(self, chain: list[Block]) -> AuditReport:
-        """Live replica counts for every ledger-recorded bead placement."""
+    def audit_redundancy(self, records: dict[str, FileRecord]) -> AuditReport:
+        """Live replica counts for every bead placement in the ledger's folded ``records``."""
         entries = []
-        for record in fold_records(chain).values():
+        for record in records.values():
             per_bead: dict[str, list[str]] = {}
             for bead_id, node_id in record.bead_locations:
                 per_bead.setdefault(bead_id, []).append(node_id)

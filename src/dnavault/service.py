@@ -106,7 +106,7 @@ class StorageService:
         return chain[index].to_dict()
 
     def nodes_info(self) -> dict:
-        report = self.cluster.audit_redundancy(self.contract.chain)
+        report = self.cluster.audit_redundancy(self.contract.ledger.records)
         return {
             "nodes": [
                 {"node_id": n.node_id, "online": n.online, "beads": len(n.beads)}

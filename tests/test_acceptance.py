@@ -29,9 +29,10 @@ from dnavault.dna_codec import (
     dna_to_bytes,
     dna_to_number,
     number_to_dna,
+    oligo_codes,
 )
 from dnavault.errors import BeadUnavailable, ChecksumMismatch, InsufficientDroplets, NotFactorable
-from dnavault.fountain import decode, droplet_to_oligo, encode_droplets, fragment, oligo_to_droplet
+from dnavault.fountain import decode, droplet_to_oligo, encode_droplets, fragment, oligo_to_droplet, split_frames
 from dnavault.ledger import Validator, select_validator
 from dnavault.network import Cluster, PlacementPolicy
 from dnavault.service import make_server
@@ -94,9 +95,9 @@ def test_fountain_reliability():
         data = random.Random(seed).randbytes(256 * 32)
         segments, length = fragment(data, 32)
         count = max(256, math.ceil(256 * overhead))
-        droplets = encode_droplets(segments, count, rng_seed=seed)
+        seeds, payloads, _ = split_frames(encode_droplets(segments, count, rng_seed=seed).frames)
         try:
-            return decode(droplets, 256, 32, length) == data
+            return decode(seeds, payloads, 256, length) == data
         except InsufficientDroplets:
             return False
 
@@ -225,7 +226,7 @@ def test_stake_proportionality():
 @criterion("7. 6 nodes / r=3: retrieval over all 64 failure subsets matches host coverage")
 def test_fault_tolerance_exhaustive():
     cluster = Cluster([f"n{i}" for i in range(6)])
-    bead = Bead("the-bead", ["ACGTACGTACGTACGT"], Manifest(1, 2, 2, 1))
+    bead = Bead("the-bead", oligo_codes(["ACGTACGTACGTACGT"]), Manifest(1, 2, 2, 1))
     placement = cluster.place_beads([bead], PlacementPolicy(3), placement_seed=7)
     hosts = {node_id for _, node_id in placement}
     assert len(hosts) == 3
@@ -251,7 +252,7 @@ def test_fault_tolerance_exhaustive():
 def test_error_detection_exhaustive():
     data = random.Random(8).randbytes(8)
     segments, _ = fragment(data, 4)
-    droplets = encode_droplets(segments, 6, rng_seed=8)
+    droplets = encode_droplets(segments, 6, rng_seed=8).droplets()
     for droplet in droplets:
         oligo = droplet_to_oligo(droplet)
         assert len(oligo) == 48

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dnavault import fountain
 from dnavault.contract import StorageContract
+from dnavault.dna_codec import oligo_codes
 from dnavault.fountain import (
     OligoScreen,
     RobustSoliton,
@@ -19,12 +20,10 @@ from dnavault.fountain import (
     oligo_to_droplet,
     plan_droplets,
     recoverable_segments,
-    screen_oligo,
 )
 from dnavault.ledger import Validator
 from dnavault.network import Cluster
 from dnavault.rng import Xorshift64Star, plan_batch
-from dnavault.synthesis import _to_codes
 
 
 def scalar_plan(seed: int, cumulative: list[float], population: int) -> list[int]:
@@ -32,6 +31,19 @@ def scalar_plan(seed: int, cumulative: list[float], population: int) -> list[int
     rng = Xorshift64Star(seed)
     count = min(bisect_left(cumulative, rng.random()) + 1, population)
     return rng.sample_distinct(count, population)
+
+
+def scalar_screen(seq: str, max_homopolymer: int, gc_min: float, gc_max: float) -> bool:
+    """The documented screen, one base at a time: no run longer than the cap, GC fraction within bounds."""
+    run = 1
+    for prev, cur in zip(seq, seq[1:]):
+        run = run + 1 if cur == prev else 1
+        if run > max_homopolymer:
+            return False
+    if run > max_homopolymer:
+        return False
+    gc = (seq.count("G") + seq.count("C")) / len(seq)
+    return gc_min <= gc <= gc_max
 
 
 def rows(offsets, indices) -> list[list[int]]:
@@ -95,17 +107,18 @@ def test_plan_batch_rejects_key_overflow():
     bounds=st.tuples(st.sampled_from([0.0, 0.25, 0.3, 0.5]), st.sampled_from([0.5, 0.6, 0.75, 1.0])),
 )
 def test_matrix_screen_matches_screen_oligo(seqs, run, bounds):
+    """The matrix screen against the scalar reference (``screen_oligo`` itself now runs the matrix screen)."""
     length = max(len(s) for s in seqs)
     seqs = [(s * length)[:length] for s in seqs]  # one length per matrix; repetition makes long runs
     screen = OligoScreen(run, *bounds)
-    expected = [screen_oligo(s, run, *bounds) for s in seqs]
-    assert screen.accepts_codes(_to_codes(seqs)).tolist() == expected
+    expected = [scalar_screen(s, run, *bounds) for s in seqs]
+    assert screen.accepts_codes(oligo_codes(seqs)).tolist() == expected
 
 
 def test_matrix_screen_gc_boundaries_are_inclusive():
     seqs = ["GCAT" * 4, "GGGC" + "ATAT" * 3, "GCGC" * 3 + "ATAA"]  # GC 0.5, 0.25, 0.75
-    assert OligoScreen(4, 0.25, 0.75).accepts_codes(_to_codes(seqs)).tolist() == [True, True, True]
-    assert OligoScreen(4, 0.3, 0.7).accepts_codes(_to_codes(seqs)).tolist() == [True, False, False]
+    assert OligoScreen(4, 0.25, 0.75).accepts_codes(oligo_codes(seqs)).tolist() == [True, True, True]
+    assert OligoScreen(4, 0.3, 0.7).accepts_codes(oligo_codes(seqs)).tolist() == [True, False, False]
 
 
 # --- peeling --------------------------------------------------------------------------
@@ -182,9 +195,8 @@ def test_recoverable_segments_matches_reference_on_plans():
         k = rnd.choice([2, 5, 16, 64, 200])
         dist = RobustSoliton(k)
         seeds = rnd.sample(range(2**32), rnd.randint(k // 2, 2 * k))
-        droplets = [fountain.Droplet(s, b"", 0) for s in seeds]
         sets = [droplet_plan(s, k, dist)[1] for s in seeds]
-        assert recoverable_segments(droplets, k, dist) == len(reference_peel(sets, None, k))
+        assert recoverable_segments(*plan_droplets(seeds, k, dist), k) == len(reference_peel(sets, None, k))
         if trial % 10 == 0:  # values too
             segment_values = [rnd.getrandbits(64) for _ in range(k)]
             values = [0] * len(sets)

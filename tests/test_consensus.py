@@ -6,7 +6,7 @@ import zlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnavault.dna_codec import dna_to_bytes
+from dnavault.dna_codec import bytes_to_dna, dna_to_bytes, oligo_codes, oligo_strings
 from dnavault.fountain import droplet_to_oligo, encode_droplets, fragment
 from dnavault.synthesis import ErrorModel, Manifest, ReadSet, consensus_reads, sequence_bead, synthesize
 
@@ -14,7 +14,13 @@ BASES = "ACGT"
 SEGMENT = 8
 
 
-def reference_consensus(read_set: ReadSet, segment_size: int) -> list[str]:
+def matrix_consensus(reads: list[str], segment_size: int) -> list[str]:
+    """``consensus_reads`` on equal-length reads given as strings, its frames rendered back as oligos."""
+    frames = consensus_reads(ReadSet(oligo_codes(reads), 1), segment_size)
+    return [bytes_to_dna(frame.tobytes()) for frame in frames]
+
+
+def reference_consensus(reads: list[str], segment_size: int) -> list[str]:
     """Group by the 16 seed bases in first-seen order; valid reads win, else a
     per-position vote whose ties go to the alphabetically first base; keep
     what passes the CRC."""
@@ -35,7 +41,7 @@ def reference_consensus(read_set: ReadSet, segment_size: int) -> list[str]:
 
     frame_len = 4 * (8 + segment_size)
     groups = {}
-    for read in read_set.reads:
+    for read in reads:
         if len(read) == frame_len:
             groups.setdefault(read[:16], []).append(read)
     consensus = []
@@ -51,7 +57,7 @@ def reference_consensus(read_set: ReadSet, segment_size: int) -> list[str]:
 def oligos(count, seed, data_seed=None):
     data = random.Random(seed if data_seed is None else data_seed).randbytes(count * SEGMENT)
     segments, _ = fragment(data, SEGMENT)
-    return [droplet_to_oligo(d) for d in encode_droplets(segments, count, rng_seed=seed)]
+    return [droplet_to_oligo(d) for d in encode_droplets(segments, count, rng_seed=seed).droplets()]
 
 
 def mutate(read, positions, rnd):
@@ -81,11 +87,10 @@ def test_matrix_consensus_matches_reference(seed, count, coverage, rate, foreign
             # Errors mostly off the seed field keep groups together; some hit it and split them.
             hits = [p for p in range(len(oligo)) if rnd.random() < rate]
             reads.append(mutate(oligo, hits, rnd))
-    for _ in range(foreign):
-        reads.insert(rnd.randrange(len(reads) + 1), "".join(rnd.choice(BASES) for _ in range(rnd.choice([12, 47, 64]))))
+    for _ in range(foreign):  # reads of no designed molecule; one matrix holds only the frame length
+        reads.insert(rnd.randrange(len(reads) + 1), "".join(rnd.choice(BASES) for _ in range(4 * (8 + SEGMENT))))
     rnd.shuffle(reads)
-    read_set = ReadSet(reads, coverage)
-    assert consensus_reads(read_set, SEGMENT) == reference_consensus(read_set, SEGMENT)
+    assert matrix_consensus(reads, SEGMENT) == reference_consensus(reads, SEGMENT)
 
 
 def shift(read, pos, up):
@@ -99,24 +104,24 @@ def test_consensus_ties_go_to_the_lowest_base():
     up = [p for p in range(16, len(clean)) if clean[p] != "T"][:2]
     down = [p for p in range(16, len(clean)) if clean[p] != "A"][:2]
     # Two reads failing their CRC at different columns: each differing column is a 1-1 tie.
-    raised = ReadSet([shift(clean, up[0], True), shift(clean, up[1], True)], 2)
-    assert consensus_reads(raised, SEGMENT) == [clean] == reference_consensus(raised, SEGMENT)
-    lowered = ReadSet([shift(clean, down[0], False), shift(clean, down[1], False)], 2)
-    assert consensus_reads(lowered, SEGMENT) == [] == reference_consensus(lowered, SEGMENT)
+    raised = [shift(clean, up[0], True), shift(clean, up[1], True)]
+    assert matrix_consensus(raised, SEGMENT) == [clean] == reference_consensus(raised, SEGMENT)
+    lowered = [shift(clean, down[0], False), shift(clean, down[1], False)]
+    assert matrix_consensus(lowered, SEGMENT) == [] == reference_consensus(lowered, SEGMENT)
 
 
 def test_consensus_drops_all_invalid_group_and_keeps_valid_one():
     first, second = oligos(2, 5)
     rnd = random.Random(1)
     broken = mutate(first, [25], rnd)  # every read of this molecule carries the same error
-    reads = ReadSet([broken, second, broken, mutate(second, [33], rnd), broken, "ACGT"], 3)
-    assert consensus_reads(reads, SEGMENT) == [second] == reference_consensus(reads, SEGMENT)
+    reads = [broken, second, broken, mutate(second, [33], rnd), broken]
+    assert matrix_consensus(reads, SEGMENT) == [second] == reference_consensus(reads, SEGMENT)
 
 
 def test_consensus_on_a_sequenced_bead_matches_reference():
     designed = oligos(40, 8)
     manifest = Manifest(40, SEGMENT, 40 * SEGMENT, len(designed))
-    bead = synthesize(designed, manifest, ErrorModel(substitution_rate=0.01, rng_seed=2), "ref")
+    bead = synthesize(oligo_codes(designed), manifest, ErrorModel(substitution_rate=0.01, rng_seed=2), "ref")
     for coverage in (1, 2, 5):
-        reads = sequence_bead(bead, coverage, ErrorModel(substitution_rate=0.03, rng_seed=9))
-        assert consensus_reads(reads, SEGMENT) == reference_consensus(reads, SEGMENT)
+        reads = oligo_strings(sequence_bead(bead, coverage, ErrorModel(substitution_rate=0.03, rng_seed=9)).reads)
+        assert matrix_consensus(reads, SEGMENT) == reference_consensus(reads, SEGMENT)

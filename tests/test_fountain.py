@@ -3,9 +3,10 @@
 import random
 import struct
 
+import numpy as np
 import pytest
 
-from dnavault.dna_codec import bytes_to_dna
+from dnavault.dna_codec import bytes_to_dna, oligo_strings
 from dnavault.errors import (
     ChecksumMismatch,
     EmptyInput,
@@ -23,9 +24,11 @@ from dnavault.fountain import (
     encode_droplets,
     fragment,
     oligo_to_droplet,
+    plan_droplets,
     read_oligo_file,
     recoverable_segments,
     screen_oligo,
+    split_frames,
     write_oligo_file,
 )
 
@@ -52,6 +55,12 @@ def find_seed_covering(k: int, want: list[int], dist: RobustSoliton) -> int:
 def make_droplet(seed: int, payload: bytes) -> Droplet:
     checksum = oracle_crc32(struct.pack(">I", seed) + payload)
     return Droplet(seed, payload, checksum)
+
+
+def decode_droplets(droplets: list[Droplet], k: int, length: int) -> bytes:
+    """``decode`` on droplet objects: their seeds and payload rows."""
+    payloads = np.frombuffer(b"".join(d.payload for d in droplets), dtype=np.uint8).reshape(len(droplets), -1)
+    return decode(np.array([d.seed for d in droplets], dtype=np.uint64), payloads, k, length)
 
 
 # --- fragment -------------------------------------------------------------------
@@ -111,7 +120,7 @@ def test_degree_spike_boosts_low_degrees():
 
 def test_single_segment_droplets_are_identity():
     segments, _ = fragment(b"only one", 8)
-    droplets = encode_droplets(segments, 5, rng_seed=3)
+    droplets = encode_droplets(segments, 5, rng_seed=3).droplets()
     assert all(d.degree == 1 for d in droplets)
     assert all(d.payload == segments[0].payload for d in droplets)
 
@@ -119,7 +128,7 @@ def test_single_segment_droplets_are_identity():
 def test_degree_one_droplet_equals_selected_segment():
     data = random.Random(5).randbytes(16 * 8)
     segments, _ = fragment(data, 8)
-    droplets = encode_droplets(segments, 60, rng_seed=11)
+    droplets = encode_droplets(segments, 60, rng_seed=11).droplets()
     ones = [d for d in droplets if d.degree == 1]
     assert ones, "expected at least one degree-1 droplet at this count"
     dist = RobustSoliton(len(segments))
@@ -130,27 +139,31 @@ def test_degree_one_droplet_equals_selected_segment():
 
 def test_encoding_is_deterministic_and_distinct():
     segments, _ = fragment(random.Random(1).randbytes(100), 10)
-    a = encode_droplets(segments, 40, rng_seed=1984)
-    b = encode_droplets(segments, 40, rng_seed=1984)
+    a = encode_droplets(segments, 40, rng_seed=1984).droplets()
+    b = encode_droplets(segments, 40, rng_seed=1984).droplets()
     assert a == b
     assert len({d.seed for d in a}) == len(a)
-    assert a != encode_droplets(segments, 40, rng_seed=1985)
+    assert a != encode_droplets(segments, 40, rng_seed=1985).droplets()
 
 
 def test_stored_degree_matches_plan():
     segments, _ = fragment(random.Random(2).randbytes(64 * 4), 4)
     dist = RobustSoliton(len(segments))
-    for d in encode_droplets(segments, 120, rng_seed=8):
+    batch = encode_droplets(segments, 120, rng_seed=8)
+    for i, d in enumerate(batch.droplets()):
         degree, indices = droplet_plan(d.seed, len(segments), dist)
         assert d.degree == degree == len(indices)
+        assert batch.indices[batch.offsets[i] : batch.offsets[i + 1]].tolist() == indices
 
 
 def test_screened_encoding_respects_screen():
     segments, _ = fragment(random.Random(3).randbytes(512), 32)
     screen = OligoScreen(max_homopolymer=4, gc_min=0.25, gc_max=0.75)
-    droplets = encode_droplets(segments, 50, rng_seed=77, screen=screen)
-    assert len(droplets) == 50
-    assert all(screen.accepts(droplet_to_oligo(d)) for d in droplets)
+    batch = encode_droplets(segments, 50, rng_seed=77, screen=screen)
+    oligos = [droplet_to_oligo(d) for d in batch.droplets()]
+    assert len(oligos) == 50
+    assert all(screen.accepts(o) for o in oligos)
+    assert oligo_strings(batch.codes) == oligos  # the screened code rows spell the frames
 
 
 # --- decoding ----------------------------------------------------------------------
@@ -158,8 +171,8 @@ def test_screened_encoding_respects_screen():
 def test_roundtrip_k32():
     data = random.Random(0).randbytes(32 * 32 - 5)
     segments, length = fragment(data, 32)
-    droplets = encode_droplets(segments, 55, rng_seed=7)
-    assert decode(droplets, 32, 32, length) == data
+    seeds, payloads, _ = split_frames(encode_droplets(segments, 55, rng_seed=7).frames)
+    assert decode(seeds, payloads, 32, length) == data
 
 
 def test_decode_single_degree_one_droplet():
@@ -167,7 +180,7 @@ def test_decode_single_degree_one_droplet():
     dist = RobustSoliton(1)
     seed = find_seed_covering(1, [0], dist)
     droplet = make_droplet(seed, segments[0].payload)
-    assert decode([droplet], 1, 12, length) == b"hello world!"
+    assert decode_droplets([droplet], 1, length) == b"hello world!"
 
 
 def test_decode_two_segments_via_one_peel():
@@ -177,10 +190,10 @@ def test_decode_two_segments_via_one_peel():
     seed01 = find_seed_covering(2, [0, 1], dist)
     xor_payload = bytes(a ^ b for a, b in zip(segments[0].payload, segments[1].payload))
     droplets = [make_droplet(seed0, segments[0].payload), make_droplet(seed01, xor_payload)]
-    assert decode(droplets, 2, 4, length) == b"ABCDEFGH"
+    assert decode_droplets(droplets, 2, length) == b"ABCDEFGH"
     # the pair alone, without any degree-1 member, must stall at zero
     with pytest.raises(InsufficientDroplets) as info:
-        decode([droplets[1]], 2, 4, length)
+        decode_droplets([droplets[1]], 2, length)
     assert info.value.recovered == 0
 
 
@@ -189,7 +202,7 @@ def test_decode_reports_partial_recovery():
     dist = RobustSoliton(3)
     seed = find_seed_covering(3, [0], dist)
     with pytest.raises(InsufficientDroplets) as info:
-        decode([make_droplet(seed, segments[0].payload)], 3, 4, length)
+        decode_droplets([make_droplet(seed, segments[0].payload)], 3, length)
     assert info.value.recovered == 1
     assert info.value.needed == 3
 
@@ -198,18 +211,18 @@ def test_recoverable_segments_predicts_decode():
     data = random.Random(17).randbytes(48 * 8)
     segments, length = fragment(data, 8)
     k = len(segments)
-    droplets = encode_droplets(segments, 90, rng_seed=6)
-    recovered = recoverable_segments(droplets, k)
+    batch = encode_droplets(segments, 90, rng_seed=6)
+    recovered = recoverable_segments(batch.offsets, batch.indices, k)
     if recovered == k:
-        assert decode(droplets, k, 8, length) == data
+        assert decode_droplets(batch.droplets(), k, length) == data
     else:
         with pytest.raises(InsufficientDroplets) as info:
-            decode(droplets, k, 8, length)
+            decode_droplets(batch.droplets(), k, length)
         assert info.value.recovered == recovered
     # a droplet set with no degree-1 member recovers nothing
     dist = RobustSoliton(2)
     seed01 = find_seed_covering(2, [0, 1], dist)
-    assert recoverable_segments([make_droplet(seed01, b"\x00" * 4)], 2) == 0
+    assert recoverable_segments(*plan_droplets([seed01], 2, dist), 2) == 0
 
 
 def test_screen_starvation_is_reported():
@@ -229,8 +242,8 @@ def test_randomized_roundtrips():
         data = rng.randbytes(size)
         segments, length = fragment(data, seg)
         k = len(segments)
-        droplets = encode_droplets(segments, max(k + 8, int(k * 2.5)), rng_seed=rng.randrange(2**32))
-        assert decode(droplets, k, seg, length) == data
+        droplets = encode_droplets(segments, max(k + 8, int(k * 2.5)), rng_seed=rng.randrange(2**32)).droplets()
+        assert decode_droplets(droplets, k, length) == data
 
 
 # --- oligo framing --------------------------------------------------------------------
@@ -248,7 +261,7 @@ def test_oligo_roundtrip_including_degree():
     segments, _ = fragment(random.Random(9).randbytes(96), 8)
     k = len(segments)
     dist = RobustSoliton(k)
-    for droplet in encode_droplets(segments, 30, rng_seed=21):
+    for droplet in encode_droplets(segments, 30, rng_seed=21).droplets():
         back = oligo_to_droplet(droplet_to_oligo(droplet), 8, k, dist)
         assert back == droplet
 
@@ -295,14 +308,14 @@ def test_screen_gc_window_boundaries():
 
 def test_oligo_file_roundtrip(tmp_path):
     segments, length = fragment(b"persist me please", 8)
-    droplets = encode_droplets(segments, 9, rng_seed=31)
-    oligos = [droplet_to_oligo(d) for d in droplets]
+    batch = encode_droplets(segments, 9, rng_seed=31)
+    oligos = [droplet_to_oligo(d) for d in batch.droplets()]
     path = tmp_path / "oligos.txt"
-    write_oligo_file(path, oligos, len(segments), 8, length)
+    write_oligo_file(path, batch.codes, len(segments), 8, length)
     text = path.read_text()
-    assert text.splitlines()[0] == f"#K={len(segments)} SEG=8 LEN={length}"
+    assert text.splitlines() == [f"#K={len(segments)} SEG=8 LEN={length}", *oligos]
     back, k, seg, ln = read_oligo_file(path)
-    assert (back, k, seg, ln) == (oligos, len(segments), 8, length)
+    assert (oligo_strings(back), k, seg, ln) == (oligos, len(segments), 8, length)
 
 
 def test_oligo_file_rejects_missing_header(tmp_path):

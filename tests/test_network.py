@@ -5,8 +5,9 @@ import itertools
 
 import pytest
 
+from dnavault.dna_codec import oligo_codes
 from dnavault.errors import BeadUnavailable, InsufficientNodes, UnknownNode
-from dnavault.ledger import CodecParams, FileRecord, Validator, append_block, genesis, record_create
+from dnavault.ledger import CodecParams, FileRecord, Validator, append_block, fold_records, genesis, record_create
 from dnavault.network import Cluster, PlacementPolicy
 from dnavault.synthesis import Bead, Manifest
 
@@ -14,7 +15,7 @@ VALIDATORS = [Validator("v", 1)]
 
 
 def make_bead(tag: str) -> Bead:
-    return Bead(tag, ["ACGTACGTACGT"], Manifest(1, 1, 1, 1))
+    return Bead(tag, oligo_codes(["ACGTACGTACGT"]), Manifest(1, 1, 1, 1))
 
 
 def make_cluster(n: int) -> Cluster:
@@ -176,7 +177,7 @@ def chain_with_placement(placement, file_tag="audited"):
 def test_audit_healthy_cluster_has_no_flags():
     cluster = make_cluster(5)
     placement = cluster.place_beads([make_bead("b")], PlacementPolicy(3), 4)
-    report = cluster.audit_redundancy(chain_with_placement(placement))
+    report = cluster.audit_redundancy(fold_records(chain_with_placement(placement)))
     assert len(report.entries) == 1
     assert report.entries[0].replicas_live == 3
     assert report.flagged == []
@@ -186,7 +187,7 @@ def test_audit_flags_under_replicated_bead():
     cluster = make_cluster(5)
     placement = cluster.place_beads([make_bead("b")], PlacementPolicy(3), 4)
     cluster.fail_node(placement[0][1])
-    report = cluster.audit_redundancy(chain_with_placement(placement))
+    report = cluster.audit_redundancy(fold_records(chain_with_placement(placement)))
     (entry,) = report.flagged
     assert entry.replicas_expected == 3
     assert entry.replicas_live == 2
@@ -197,7 +198,7 @@ def test_audit_with_everything_down():
     placement = cluster.place_beads([make_bead("b")], PlacementPolicy(3), 4)
     for node_id in list(cluster.nodes):
         cluster.fail_node(node_id)
-    report = cluster.audit_redundancy(chain_with_placement(placement))
+    report = cluster.audit_redundancy(fold_records(chain_with_placement(placement)))
     (entry,) = report.flagged
     assert entry.replicas_live == 0
 

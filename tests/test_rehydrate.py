@@ -81,3 +81,17 @@ def test_each_bead_on_disk_is_loaded_once_and_installed_on_every_listed_node(sto
             assert bead_id in service.cluster.nodes[node_id].beads
     held = {(b, n.node_id) for n in service.cluster.nodes.values() for b in n.beads}
     assert held == {(b, n) for r in receipts for b, n in r["placement"]}
+
+
+def test_a_foreign_symbol_in_a_stored_bead_reads_as_a_and_the_file_still_downloads(stored):
+    state, receipts = stored
+    bead_id = receipts[0]["bead_ids"][0]
+    path = state / "beads" / bead_id / "oligos.txt"
+    header, first, rest = path.read_bytes().split(b"\n", 2)
+    pos = first.index(b"G")
+    path.write_bytes(b"\n".join([header, first[:pos] + b"N" + first[pos + 1 :], rest]))
+
+    service = reopen(state)
+    holder = receipts[0]["placement"][0][1]
+    assert service.cluster.nodes[holder].beads[bead_id].oligos[0][pos] == "A"
+    assert service.download("alice", receipts[0]["file_hash"]) == FILES[0]  # the CRC drops the oligo

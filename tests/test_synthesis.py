@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dnavault.dna_codec import bytes_to_dna, oligo_codes, oligo_strings
 from dnavault.errors import EmptyBead
 from dnavault.fountain import droplet_to_oligo, encode_droplets, fragment
 from dnavault.rng import Xorshift64Star, derive_seed, substream
@@ -25,10 +26,23 @@ BASES = "ACGT"
 def make_oligos(count=12, segment_size=8, seed=0):
     data = random.Random(seed).randbytes(count * segment_size)
     segments, length = fragment(data, segment_size)
-    droplets = encode_droplets(segments, count, rng_seed=seed)
+    droplets = encode_droplets(segments, count, rng_seed=seed).droplets()
     oligos = [droplet_to_oligo(d) for d in droplets]
     manifest = Manifest(len(segments), segment_size, length, len(oligos))
     return oligos, manifest
+
+
+def synth(oligos, manifest, model, bead_id):
+    return synthesize(oligo_codes(oligos), manifest, model, bead_id)
+
+
+def read_strings(read_set):
+    return oligo_strings(read_set.reads)
+
+
+def consensus(read_set, segment_size):
+    """The consensus frames rendered as oligo strings."""
+    return [bytes_to_dna(frame.tobytes()) for frame in consensus_reads(read_set, segment_size)]
 
 
 def scalar_corrupt(oligo: str, stream_seed: int, rate: float, skip_dropout_draw: bool) -> str:
@@ -51,7 +65,7 @@ def scalar_corrupt(oligo: str, stream_seed: int, rate: float, skip_dropout_draw:
 
 def test_zero_error_synthesis_is_identity():
     oligos, manifest = make_oligos()
-    bead = synthesize(oligos, manifest, ErrorModel(), "b0")
+    bead = synth(oligos, manifest, ErrorModel(), "b0")
     assert bead.oligos == oligos
     assert bead.bead_id == "b0"
     assert bead.manifest == manifest
@@ -59,13 +73,13 @@ def test_zero_error_synthesis_is_identity():
 
 def test_full_dropout_empties_the_bead():
     oligos, manifest = make_oligos()
-    bead = synthesize(oligos, manifest, ErrorModel(oligo_dropout_rate=1.0), "b1")
+    bead = synth(oligos, manifest, ErrorModel(oligo_dropout_rate=1.0), "b1")
     assert bead.oligos == []
 
 
 def test_full_substitution_changes_every_base():
     oligos, manifest = make_oligos(count=5)
-    bead = synthesize(oligos, manifest, ErrorModel(substitution_rate=1.0), "b2")
+    bead = synth(oligos, manifest, ErrorModel(substitution_rate=1.0), "b2")
     for original, stored in zip(oligos, bead.oligos):
         assert all(a != b for a, b in zip(original, stored))
 
@@ -73,7 +87,7 @@ def test_full_substitution_changes_every_base():
 def test_synthesis_matches_scalar_reference():
     oligos, manifest = make_oligos(count=7)
     model = ErrorModel(substitution_rate=0.25, rng_seed=123)
-    bead = synthesize(oligos, manifest, model, "ref-bead")
+    bead = synth(oligos, manifest, model, "ref-bead")
     base = derive_seed("synthesize", model.rng_seed, "ref-bead")
     expected = [
         scalar_corrupt(o, substream(base, i), model.substitution_rate, skip_dropout_draw=True)
@@ -85,7 +99,7 @@ def test_synthesis_matches_scalar_reference():
 def test_synthesis_dropout_matches_scalar_reference():
     oligos, manifest = make_oligos(count=40)
     model = ErrorModel(oligo_dropout_rate=0.3, rng_seed=9)
-    bead = synthesize(oligos, manifest, model, "drop-bead")
+    bead = synth(oligos, manifest, model, "drop-bead")
     base = derive_seed("synthesize", model.rng_seed, "drop-bead")
     threshold = int(0.3 * (1 << 64))
     expected = [
@@ -98,17 +112,17 @@ def test_synthesis_dropout_matches_scalar_reference():
 def test_synthesis_is_deterministic():
     oligos, manifest = make_oligos(count=20)
     model = ErrorModel(0.05, 0.1, rng_seed=77)
-    a = synthesize(oligos, manifest, model, "same")
-    b = synthesize(oligos, manifest, model, "same")
+    a = synth(oligos, manifest, model, "same")
+    b = synth(oligos, manifest, model, "same")
     assert a.oligos == b.oligos
-    c = synthesize(oligos, manifest, model, "other")
+    c = synth(oligos, manifest, model, "other")
     assert a.oligos != c.oligos  # bead identity is part of the seed
 
 
 def test_synthesis_rejects_ragged_oligos():
     _, manifest = make_oligos()
     with pytest.raises(ValueError):
-        synthesize(["ACGT", "ACG"], manifest, ErrorModel(), "bad")
+        synth(["ACGT", "ACG"], manifest, ErrorModel(), "bad")  # oligo_codes refuses to build the matrix
 
 
 def test_error_model_validates_rates():
@@ -122,28 +136,28 @@ def test_error_model_validates_rates():
 
 def test_sequencing_zero_error_repeats_contents():
     oligos, manifest = make_oligos(count=6)
-    bead = synthesize(oligos, manifest, ErrorModel(), "s0")
+    bead = synth(oligos, manifest, ErrorModel(), "s0")
     reads = sequence_bead(bead, 3, ErrorModel())
     assert len(reads.reads) == 18
     for oligo in oligos:
-        assert reads.reads.count(oligo) == 3
+        assert read_strings(reads).count(oligo) == 3
     single = sequence_bead(bead, 1, ErrorModel())
-    assert single.reads == oligos  # coverage 1, round-major => bead order
+    assert read_strings(single) == oligos  # coverage 1, round-major => bead order
 
 
 def test_lower_coverage_reads_are_a_prefix():
     oligos, manifest = make_oligos(count=10)
     model = ErrorModel(substitution_rate=0.02, rng_seed=5)
-    bead = synthesize(oligos, manifest, model, "prefix")
+    bead = synth(oligos, manifest, model, "prefix")
     low = sequence_bead(bead, 2, model)
     high = sequence_bead(bead, 5, model)
-    assert high.reads[: len(low.reads)] == low.reads
+    assert read_strings(high)[: len(low.reads)] == read_strings(low)
 
 
 def test_sequencing_matches_scalar_reference():
     oligos, manifest = make_oligos(count=4)
     model = ErrorModel(substitution_rate=0.3, rng_seed=31)
-    bead = synthesize(oligos, manifest, ErrorModel(), "seq-ref")
+    bead = synth(oligos, manifest, ErrorModel(), "seq-ref")
     reads = sequence_bead(bead, 2, model)
     base = derive_seed("sequence", model.rng_seed, "seq-ref")
     for j in range(2):
@@ -151,14 +165,14 @@ def test_sequencing_matches_scalar_reference():
             expected = scalar_corrupt(
                 oligo, substream(substream(base, i), j), model.substitution_rate, skip_dropout_draw=False
             )
-            assert reads.reads[j * len(bead.oligos) + i] == expected
+            assert read_strings(reads)[j * len(bead.oligos) + i] == expected
 
 
 def test_sequencing_empty_bead_raises():
     with pytest.raises(EmptyBead):
-        sequence_bead(Bead("empty", [], Manifest(1, 8, 8, 0)), 3, ErrorModel())
+        sequence_bead(Bead("empty", oligo_codes([]), Manifest(1, 8, 8, 0)), 3, ErrorModel())
     oligos, manifest = make_oligos()
-    bead = synthesize(oligos, manifest, ErrorModel(), "cov")
+    bead = synth(oligos, manifest, ErrorModel(), "cov")
     with pytest.raises(ValueError):
         sequence_bead(bead, 0, ErrorModel())
 
@@ -172,15 +186,15 @@ def corrupt_base(oligo: str, pos: int) -> str:
 
 def test_consensus_of_identical_reads():
     oligos, _ = make_oligos(count=1)
-    reads = ReadSet([oligos[0]] * 3, 3)
-    assert consensus_reads(reads, 8) == [oligos[0]]
+    reads = ReadSet(oligo_codes([oligos[0]] * 3), 3)
+    assert consensus(reads, 8) == [oligos[0]]
 
 
 def test_consensus_discards_crc_failing_read():
     oligos, _ = make_oligos(count=1)
     clean = oligos[0]
     corrupted = corrupt_base(clean, 20)  # payload base; CRC now fails
-    assert consensus_reads(ReadSet([clean, clean, corrupted], 3), 8) == [clean]
+    assert consensus(ReadSet(oligo_codes([clean, clean, corrupted]), 3), 8) == [clean]
 
 
 def test_consensus_votes_when_no_read_is_valid():
@@ -189,46 +203,73 @@ def test_consensus_votes_when_no_read_is_valid():
     # three reads, each corrupted at a different position: every read fails
     # CRC but the per-position majority recovers the original
     reads = [corrupt_base(clean, p) for p in (17, 21, 25)]
-    assert consensus_reads(ReadSet(reads, 3), 8) == [clean]
+    assert consensus(ReadSet(oligo_codes(reads), 3), 8) == [clean]
 
 
 def test_consensus_drops_unrecoverable_groups():
     oligos, _ = make_oligos(count=1)
     hopeless = corrupt_base(oligos[0], 30)
-    assert consensus_reads(ReadSet([hopeless] * 3, 3), 8) == []
+    assert consensus(ReadSet(oligo_codes([hopeless] * 3), 3), 8) == []
 
 
 def test_consensus_end_to_end_recovers_all_oligos():
     oligos, manifest = make_oligos(count=30, segment_size=8, seed=3)
     model = ErrorModel(substitution_rate=0.01, rng_seed=12)
-    bead = synthesize(oligos, manifest, ErrorModel(), "e2e")
+    bead = synth(oligos, manifest, ErrorModel(), "e2e")
     reads = sequence_bead(bead, 5, model)
-    assert sorted(consensus_reads(reads, 8)) == sorted(oligos)
+    assert sorted(consensus(reads, 8)) == sorted(oligos)
 
 
 def test_higher_coverage_recovers_superset():
     oligos, manifest = make_oligos(count=40, segment_size=8, seed=8)
     model = ErrorModel(substitution_rate=0.05, rng_seed=4)
-    bead = synthesize(oligos, manifest, ErrorModel(), "mono")
-    low = set(consensus_reads(sequence_bead(bead, 1, model), 8))
-    high = set(consensus_reads(sequence_bead(bead, 5, model), 8))
+    bead = synth(oligos, manifest, ErrorModel(), "mono")
+    low = set(consensus(sequence_bead(bead, 1, model), 8))
+    high = set(consensus(sequence_bead(bead, 5, model), 8))
     assert low <= high
 
 
 def test_consensus_ignores_foreign_framing():
-    oligos, _ = make_oligos(count=1)
-    reads = ReadSet([oligos[0], "ACGT" * 3], 1)
-    assert consensus_reads(reads, 8) == [oligos[0]]
+    # The reads of one bead form one matrix, so a foreign length is the whole bead's.
+    oligos, manifest = make_oligos(count=2)
+    foreign = synth(["ACGT" * 3] * 2, manifest, ErrorModel(), "foreign")
+    assert consensus_reads(sequence_bead(foreign, 3, ErrorModel()), 8).shape == (0, 16)
+    assert consensus(sequence_bead(synth(oligos, manifest, ErrorModel(), "framed"), 3, ErrorModel()), 8) == oligos
 
 
 # --- persistence -------------------------------------------------------------------
 
 def test_bead_save_load_roundtrip(tmp_path):
     oligos, manifest = make_oligos(count=9)
-    bead = synthesize(oligos, manifest, ErrorModel(), "disk-bead")
+    bead = synth(oligos, manifest, ErrorModel(), "disk-bead")
     save_bead(tmp_path / "beads", bead)
     assert (tmp_path / "beads" / "disk-bead" / "oligos.txt").exists()
     assert (tmp_path / "beads" / "disk-bead" / "manifest.json").exists()
     back = load_bead(tmp_path / "beads", "disk-bead")
     assert back.oligos == bead.oligos
     assert back.manifest == manifest
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda body: body.replace(b"\n", b"\n\n", 1),  # a blank line
+        lambda body: body[:5] + body[6:],  # one line a base short
+        lambda body: body[:-1],  # no newline after the last line
+    ],
+)
+def test_ragged_oligo_file_fails_at_load_naming_the_file(tmp_path, damage):
+    oligos, manifest = make_oligos(count=4)
+    save_bead(tmp_path / "beads", synth(oligos, manifest, ErrorModel(), "ragged"))
+    path = tmp_path / "beads" / "ragged" / "oligos.txt"
+    header, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" + damage(body))
+    with pytest.raises(ValueError, match="oligos.txt: oligo lines are blank or of unequal length"):
+        load_bead(tmp_path / "beads", "ragged")
+
+
+def test_an_emptied_bead_saves_and_loads_as_an_empty_matrix(tmp_path):
+    oligos, manifest = make_oligos(count=4)
+    save_bead(tmp_path / "beads", synth(oligos, manifest, ErrorModel(oligo_dropout_rate=1.0), "gone"))
+    assert (tmp_path / "beads" / "gone" / "oligos.txt").read_text().count("\n") == 1
+    assert load_bead(tmp_path / "beads", "gone").codes.shape[0] == 0
