@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import struct
-import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -195,7 +194,7 @@ for _ in range(8):
 _CRC_AHEAD = [_CRC_BYTE]  # entry j: a byte's step followed by j zero bytes
 for _ in range(3):
     _CRC_AHEAD.append((_CRC_AHEAD[-1] >> 8) ^ _CRC_BYTE[_CRC_AHEAD[-1] & 0xFF])
-_LOW, _HIGH = np.arange(1 << 16) & 0xFF, np.arange(1 << 16) >> 8
+_LOW, _HIGH = np.arange(1 << 16, dtype=np.uint16) & 0xFF, np.arange(1 << 16, dtype=np.uint16) >> 8
 _CRC_LOW, _CRC_HIGH = _CRC_AHEAD[3][_LOW] ^ _CRC_AHEAD[2][_HIGH], _CRC_AHEAD[1][_LOW] ^ _CRC_AHEAD[0][_HIGH]
 
 
@@ -400,16 +399,15 @@ def oligo_to_droplet(
     expected = 4 * (OLIGO_HEADER_BYTES + segment_size)
     if len(seq) != expected:
         raise LengthError(f"oligo length {len(seq)} != expected {expected} bases")
-    raw = dna_to_bytes(seq)
-    seed = struct.unpack(">I", raw[:4])[0]
-    payload = raw[4 : 4 + segment_size]
-    checksum = struct.unpack(">I", raw[-4:])[0]
-    if zlib.crc32(raw[:-4]) != checksum:
+    frame = np.frombuffer(dna_to_bytes(seq), dtype=np.uint8).reshape(1, -1)
+    seeds, _, checksums = split_frames(frame)
+    seed, checksum = int(seeds[0]), int(checksums[0])
+    if frame_crcs(frame)[0] != checksum:
         raise ChecksumMismatch(f"oligo with seed {seed} failed its CRC check")
     degree = None
     if k is not None:
         degree = droplet_plan(seed, k, dist or RobustSoliton(k))[0]
-    return Droplet(seed, payload, checksum, degree)
+    return Droplet(seed, frame[0, 4:-4].tobytes(), checksum, degree)
 
 
 def screen_oligo(seq: str, max_homopolymer: int, gc_min: float, gc_max: float) -> bool:

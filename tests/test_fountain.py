@@ -2,6 +2,7 @@
 
 import random
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dnavault.fountain import (
     droplet_to_oligo,
     encode_droplets,
     fragment,
+    frame_crcs,
     oligo_to_droplet,
     plan_droplets,
     read_oligo_file,
@@ -255,6 +257,12 @@ def test_oligo_frame_layout_and_crc_oracle():
     assert oligo.startswith("AAAA" * 4)  # zero seed
     expected_crc = oracle_crc32(b"\x00" * 8)
     assert oligo == bytes_to_dna(b"\x00" * 8 + struct.pack(">I", expected_crc))
+
+
+@pytest.mark.parametrize("width", [5, 8, 9, 12, 23, 40])
+def test_frame_crcs_match_zlib(width):
+    frames = np.frombuffer(random.Random(width).randbytes(50 * width), dtype=np.uint8).reshape(50, width)
+    assert frame_crcs(frames).tolist() == [zlib.crc32(row[:-4].tobytes()) for row in frames]
 
 
 def test_oligo_roundtrip_including_degree():
