@@ -41,7 +41,7 @@ _BYTE_TO_QUAD = [
 # bytes.translate tables, ASCII <-> base code: the line end "\n" is code 4, and any other symbol reads as A.
 CODE_OF_CHAR = bytes(max(b"ACGT\n".find(c), 0) for c in range(256))
 CHAR_OF_CODE = b"ACGT\n".ljust(256, b"A")
-_SHIFTS = np.array([6, 4, 2, 0], dtype=np.uint8)
+_SHIFTS = np.array([6, 4, 2, 0], dtype=np.uint8)  # a byte's four bases, most significant first
 
 DEFAULT_MAX_RETRIES = 16
 
@@ -86,7 +86,7 @@ def oligo_strings(codes: np.ndarray) -> list[str]:
 
 def codes_to_bytes(codes: np.ndarray) -> np.ndarray:
     """``(n, 4B)`` base codes to the ``(n, B)`` bytes they spell, first base in the top bits."""
-    return (codes[:, 0::4] << 6) | (codes[:, 1::4] << 4) | (codes[:, 2::4] << 2) | codes[:, 3::4]
+    return codes.reshape(len(codes), -1, 4) @ (1 << _SHIFTS)
 
 
 def bytes_to_codes(raw: np.ndarray) -> np.ndarray:

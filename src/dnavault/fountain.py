@@ -205,9 +205,9 @@ def frame_crcs(frames: np.ndarray) -> np.ndarray:
     crc = np.full(len(frames), 0xFFFFFFFF, dtype=np.uint32)
     for word in np.ascontiguousarray(data[:, :whole]).view("<u4").T:
         crc ^= word
-        crc = _CRC_LOW[crc & 0xFFFF] ^ _CRC_HIGH[crc >> 16]
+        crc = _CRC_LOW.take(crc & 0xFFFF) ^ _CRC_HIGH.take(crc >> 16)
     for column in data[:, whole:].T:
-        crc = _CRC_BYTE[(crc ^ column) & 0xFF] ^ (crc >> 8)
+        crc = _CRC_BYTE.take((crc ^ column) & 0xFF) ^ (crc >> 8)
     return crc ^ np.uint32(0xFFFFFFFF)
 
 

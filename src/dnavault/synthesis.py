@@ -160,7 +160,7 @@ def consensus_reads(read_set: ReadSet, segment_size: int) -> np.ndarray:
     group_starts, group = np.flatnonzero(opens), np.cumsum(opens) - 1  # group number per sorted read
     pooled = valid[order] | ~np.logical_or.reduceat(valid[order], group_starts)[group]
     pool, pool_group = order[pooled], group[pooled]
-    pool_starts = np.flatnonzero(np.diff(pool_group, prepend=-1))
+    pool_starts = np.searchsorted(pool_group, np.arange(len(group_starts)))  # every group keeps a pool
     first = pool[pool_starts]
     agree = np.logical_and.reduceat((frames[pool] == frames[first[pool_group]]).all(axis=1), pool_starts)
     out, keep = frames[first], valid[first] & agree
