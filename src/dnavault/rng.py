@@ -15,9 +15,10 @@ machine:
 
 The vectorized helpers mirror the scalar class bit for bit; tests assert
 the equivalence. ``plan_batch`` derives many droplet plans at once (one
-inverse-CDF degree draw, then ``sample_distinct``), stepping the streams in
-lockstep and replaying ``randbelow``'s rejection draws, so every plan is
-identical to the one the scalar class yields for the same seed.
+inverse-CDF degree draw, then ``sample_distinct``), jumping each stream
+ahead by table lookups and replaying ``randbelow``'s rejection draws, so
+every plan is identical to the one the scalar class yields for the same
+seed.
 """
 
 from __future__ import annotations
@@ -141,32 +142,77 @@ def substream_array(base: np.ndarray | int, indices: np.ndarray) -> np.ndarray:
 
 # --- batch droplet planning -----------------------------------------------------
 
-# Below this many streams still drawing, one numpy step per column costs more
-# than finishing the remaining long streams one draw at a time in Python.
-_VECTOR_MIN_STREAMS = 16
+# The xorshift64* step is linear over GF(2), so 2**p steps are one bit matrix:
+# _JUMPS[p][k, b] is where 2**p steps take byte value b in byte lane k (bits
+# 8k..8k+7), and a state goes to the XOR of where its eight lanes go.
+_JUMPS = [np.arange(256, dtype=np.uint64) << (8 * np.arange(8, dtype=np.uint64))[:, None]]
+step_states(_JUMPS[0])
+
+
+def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Where the steps of a ``_JUMPS`` table take each of ``states``."""
+    lanes = states.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    out = table[0].take(lanes[:, 0])
+    for k in range(1, 8):
+        out ^= table[k].take(lanes[:, k])
+    return out.reshape(states.shape)
+
+
+for _ in range(63):  # each table squares the one before
+    _JUMPS.append(_jump(_JUMPS[-1], _JUMPS[-1]))
+
+# Streams take their first _LOCKSTEP draws one numpy step per column, cheaper
+# than jumps while most streams are short; a power of two, the first jump size.
+_LOCKSTEP = 8
 
 
 def _draw(states: np.ndarray, need: np.ndarray) -> np.ndarray:
-    """``need[i]`` draws from stream ``i``, row-major; ``need`` sorted descending.
+    """``need[i] >= 1`` draws from stream ``i``, row-major; ``need`` sorted descending.
 
-    Streams advance in lockstep, one column per step over the prefix still
-    drawing; ``states`` is advanced in place.
+    ``states`` is advanced in place. Past the lockstep columns, a stream's
+    first ``2**p`` states, jumped ``2**p`` steps, are its next ``2**p``, so
+    the cost follows the total drawn, not the length of the longest stream.
     """
     starts = np.cumsum(need) - need
-    out = np.empty(int(need.sum()), dtype=np.uint64)
-    width = int(need[0])
-    active = np.searchsorted(-need, -np.arange(width), side="left")  # streams with need > t
-    for t in range(width):
-        rows = int(active[t])
-        if rows < _VECTOR_MIN_STREAMS:
-            for i in range(rows):
-                rng = Xorshift64Star.from_state(int(states[i]))
-                pos = int(starts[i])
-                out[pos + t : pos + int(need[i])] = [rng.next_u64() for _ in range(t, int(need[i]))]
-                states[i] = rng._state
-            break
-        out[starts[:rows] + t] = step_states(states[:rows])
-    return out
+    out = np.empty(int(need.sum()), dtype=np.uint64)  # states, made outputs at the end
+    columns = np.arange(min(int(need.max(initial=0)), _LOCKSTEP))
+    for t, rows in enumerate(np.searchsorted(-need, -columns, side="left").tolist()):  # streams with need > t
+        step_states(states[:rows])
+        out[starts[:rows] + t] = states[:rows]
+    length, live = _LOCKSTEP, len(need)
+    while live := int(np.searchsorted(-need[:live], -length, side="left")):
+        copies = np.minimum(need[:live] - length, length)
+        src = np.repeat(starts[:live] - (np.cumsum(copies) - copies), copies) + np.arange(int(copies.sum()))
+        out[src + length] = _jump(_JUMPS[length.bit_length() - 1], out[src])
+        length *= 2
+    states[:] = out[starts + need - 1]
+    return out * np.uint64(_STAR)
+
+
+def _fisher_yates(rows: np.ndarray, states: np.ndarray, counts: np.ndarray, population: int) -> np.ndarray:
+    """Unsorted keys ``row * population + value`` of ``sample_distinct``'s partial Fisher-Yates branch.
+
+    Step ``i`` swaps in ``i + randbelow(population - i)``, on draws taken in
+    one batch; a row with a draw ``randbelow`` would reject (odds below
+    ``count * population / 2**64``) replays the scalar class instead.
+    """
+    order = np.argsort(-counts, kind="stable")
+    rows, states, counts = rows[order], states[order], counts[order]
+    starts = np.cumsum(counts) - counts
+    step = np.arange(int(counts.sum())) - starts.repeat(counts)  # i within its row
+    bound = np.uint64(population) - step.astype(np.uint64)
+    draws = _draw(states.copy(), counts)
+    fits = np.logical_and.reduceat(draws <= np.uint64(MASK64) - (np.uint64(MASK64) % bound + np.uint64(1)) % bound, starts)
+    swaps, values = (step + (draws % bound).astype(np.int64)).tolist(), []
+    for state, count, start, fit in zip(states.tolist(), counts.tolist(), starts.tolist(), fits.tolist()):
+        if not fit:
+            values += Xorshift64Star.from_state(state).sample_distinct(count, population)
+            continue
+        pool = list(range(population))
+        for i, j in enumerate(swaps[start : start + count]):
+            pool[i], pool[j] = pool[j], pool[i]
+        values += pool[:count]
+    return rows.repeat(counts) * population + np.array(values, dtype=np.int64)
 
 
 def plan_batch(seeds: np.ndarray, cumulative: np.ndarray, population: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,8 +225,9 @@ def plan_batch(seeds: np.ndarray, cumulative: np.ndarray, population: int) -> tu
     population) sample in lockstep rounds: each round draws the values a row
     still needs, drops rejected draws and duplicates, and repeats for the rows
     left short; since a round draws no more values than are still missing,
-    no row consumes a draw the scalar loop would not. Dense rows take the
-    scalar path. ``len(seeds) * population`` must stay below 2**63.
+    no row consumes a draw the scalar loop would not. Dense rows run the
+    Fisher-Yates swaps on batch draws. ``len(seeds) * population`` must stay
+    below 2**63.
     """
     n = len(seeds)
     if n * population >= 1 << 63:
@@ -189,21 +236,10 @@ def plan_batch(seeds: np.ndarray, cumulative: np.ndarray, population: int) -> tu
     states = seed_states(np.asarray(seeds, dtype=np.uint64))
     unit = (step_states(states) >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
     counts = np.minimum(np.searchsorted(cumulative, unit, side="left") + 1, population)
-    dense = counts * 2 > population  # sample_distinct's Fisher-Yates branch, kept scalar
+    dense = counts * 2 > population  # sample_distinct's Fisher-Yates branch
     rejected = (1 << 64) % population  # randbelow rejects draws >= 2**64 - rejected
 
-    dense_rows = dense.nonzero()[0].tolist()
-    row_states, row_counts = states.tolist(), counts.tolist()
-    keys = [
-        np.array(
-            [
-                i * population + j
-                for i in dense_rows
-                for j in Xorshift64Star.from_state(row_states[i]).sample_distinct(row_counts[i], population)
-            ],
-            dtype=np.int64,
-        )
-    ]
+    keys = [_fisher_yates(dense.nonzero()[0], states[dense], counts[dense], population)]
     rows = (~dense).nonzero()[0]
     rows_state, need = states[rows], counts[rows]
     pending = np.empty(0, dtype=np.int64)  # distinct keys drawn so far by rows still short

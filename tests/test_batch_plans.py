@@ -23,7 +23,7 @@ from dnavault.fountain import (
 )
 from dnavault.ledger import Validator
 from dnavault.network import Cluster
-from dnavault.rng import Xorshift64Star, plan_batch
+from dnavault.rng import _JUMPS, _STAR, MASK64, Xorshift64Star, _fisher_yates, _jump, plan_batch
 
 
 def scalar_plan(seed: int, cumulative: list[float], population: int) -> list[int]:
@@ -87,10 +87,21 @@ def test_plan_batch_replays_rejected_draws(seeds, count):
 
 @pytest.mark.parametrize("k", [100, 2048, 32768])
 def test_plan_droplets_matches_over_many_seeds(k):
-    # Enough rows that the lockstep columns and the one-stream finish both run.
+    # Enough rows that long streams and, at K = 32768, dense rows occur.
     dist = RobustSoliton(k)
     seeds = random.Random(k).sample(range(2**32), 2000)
     assert rows(*plan_droplets(seeds, k, dist)) == [droplet_plan(s, k, dist)[1] for s in seeds]
+
+
+def test_dense_row_replays_a_rejected_draw():
+    # The state that draws 2**64 - 1 next, which randbelow(6) rejects: step back
+    # from the state that outputs it, 2**64 - 2 steps being one step back.
+    state = np.array([MASK64 * pow(_STAR, -1, 1 << 64) & MASK64], dtype=np.uint64)
+    for table in _JUMPS[1:]:
+        state = _jump(table, state)
+    assert Xorshift64Star.from_state(int(state[0])).next_u64() == MASK64
+    got = _fisher_yates(np.array([0]), state, np.array([4]), 6)
+    assert sorted(got.tolist()) == Xorshift64Star.from_state(int(state[0])).sample_distinct(4, 6)
 
 
 def test_plan_batch_rejects_key_overflow():
