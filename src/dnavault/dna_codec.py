@@ -41,7 +41,8 @@ _BYTE_TO_QUAD = [
 # bytes.translate tables, ASCII <-> base code: the line end "\n" is code 4, and any other symbol reads as A.
 CODE_OF_CHAR = bytes(max(b"ACGT\n".find(c), 0) for c in range(256))
 CHAR_OF_CODE = b"ACGT\n".ljust(256, b"A")
-_SHIFTS = np.array([6, 4, 2, 0], dtype=np.uint8)  # a byte's four bases, most significant first
+# _SPREAD[b] holds byte b's four base codes in the bytes of a little-endian word, most significant pair first.
+_SPREAD = sum(((np.arange(256, dtype="<u4") >> (6 - 2 * i)) & 3) << (8 * i) for i in range(4)).astype("<u4")
 
 DEFAULT_MAX_RETRIES = 16
 
@@ -85,13 +86,19 @@ def oligo_strings(codes: np.ndarray) -> list[str]:
 
 
 def codes_to_bytes(codes: np.ndarray) -> np.ndarray:
-    """``(n, 4B)`` base codes to the ``(n, B)`` bytes they spell, first base in the top bits."""
-    return codes.reshape(len(codes), -1, 4) @ (1 << _SHIFTS)
+    """``(n, 4B)`` base codes to the ``(n, B)`` bytes they spell, first base in the top bits.
+
+    Each four codes ``c0..c3`` read as the little-endian word ``c0 | c1 << 8 | c2 << 16 | c3 << 24``;
+    multiplying by ``0x40100401`` moves ``c0 << 6 | c1 << 4 | c2 << 2 | c3`` into its top byte, no two
+    partial products overlapping.
+    """
+    words = np.ascontiguousarray(codes, dtype=np.uint8).view("<u4")
+    return ((words * np.uint32(0x40100401)) >> np.uint32(24) & np.uint32(0xFF)).astype(np.uint8)
 
 
 def bytes_to_codes(raw: np.ndarray) -> np.ndarray:
     """``(n, B)`` bytes to the ``(n, 4B)`` base codes of :func:`bytes_to_dna`."""
-    return ((raw[:, :, None] >> _SHIFTS) & 3).reshape(len(raw), -1)
+    return _SPREAD.take(raw).view(np.uint8).reshape(raw.shape[0], 4 * raw.shape[1])
 
 
 def dna_to_number(seq: str) -> int:

@@ -94,29 +94,25 @@ class RobustSoliton:
         self.c = c
         self.delta = delta
 
-        weights = [0.0] * (k + 1)
+        # Built with numpy in the scalar loop's arithmetic; the left-to-right cumsum totals as Python's
+        # float sum did before 3.12 switched it to compensated summation, so the CDF is one on every interpreter.
+        d = np.arange(k + 1, dtype=np.int64)
+        weights = np.zeros(k + 1)
         weights[1] = 1.0 / k
-        for d in range(2, k + 1):
-            weights[d] += 1.0 / (d * (d - 1))
+        weights[2:] = 1.0 / (d[2:] * (d[2:] - 1))
         r = c * math.log(k / delta) * math.sqrt(k)
         spike = int(k / r) if r > 0 else 0
-        for d in range(1, min(spike, k + 1)):
-            weights[d] += r / (d * k)
+        ripple = d[1 : min(spike, k + 1)]
+        weights[ripple] += r / (ripple * k)
         if 1 <= spike <= k:
             weights[spike] += r * math.log(r / delta) / k
-        total = sum(weights)
-        self.probabilities = [w / total for w in weights[1:]]
-        self._cumulative = []
-        acc = 0.0
-        for p in self.probabilities:
-            acc += p
-            self._cumulative.append(acc)
-        self._cumulative[-1] = 1.0
-        self.cdf = np.array(self._cumulative)
+        self.probabilities = weights[1:] / np.cumsum(weights)[-1]
+        self.cdf = np.cumsum(self.probabilities)
+        self.cdf[-1] = 1.0
 
     def sample(self, rng: Xorshift64Star) -> int:
         """Draw a degree in 1..K (one uniform draw, inverse CDF)."""
-        return bisect_left(self._cumulative, rng.random()) + 1
+        return bisect_left(self.cdf, rng.random()) + 1
 
 
 @dataclass(frozen=True)
@@ -244,7 +240,7 @@ def encode_droplets(
     master = Xorshift64Star(rng_seed)
     kept: list[tuple[np.ndarray, ...]] = []  # per batch: accepted frames, codes, plan sizes and plan indices
     done = 0
-    seen: set[int] = set()
+    seen = np.zeros(0, dtype=np.uint64)  # every candidate seed drawn so far, sorted
     attempts = 0
     budget = 200 * count + 1000  # screen starvation guard
     while done < count:
@@ -260,20 +256,31 @@ def encode_droplets(
         else:
             want = 4 * attempts
         want = min(want, _ENCODE_BATCH)
-        seeds: list[int] = []
-        while len(seeds) < want and attempts < budget:
-            attempts += 1
-            seed = master.next_u64() >> 32
-            if seed not in seen:
-                seen.add(seed)
-                seeds.append(seed)
-        if not seeds:
+        # Draw in rounds of no more values than are still missing (capped by the budget), so no draw
+        # is taken that a one-at-a-time loop would not take; a seed drawn before is skipped.
+        fresh = [np.zeros(0, dtype=np.uint64)]
+        found = 0
+        while found < want and attempts < budget:
+            draws = min(want - found, budget - attempts)
+            attempts += draws
+            values = master.next_u64s(draws) >> np.uint64(32)
+            # Sorted keys seed << 32 | when (0 for a seed seen before, 1.. in this round's stream order):
+            # each seed's first key is its earliest draw, a new seed only if that came in this round.
+            when = np.arange(1, draws + 1, dtype=np.uint64)
+            keys = np.sort(np.concatenate([seen << np.uint64(32), values << np.uint64(32) | when]))
+            earliest = keys[np.concatenate(([True], (keys[1:] >> np.uint64(32)) != (keys[:-1] >> np.uint64(32))))]
+            seen, when = earliest >> np.uint64(32), earliest & np.uint64(0xFFFFFFFF)
+            values = values[np.sort(when[when > 0]).astype(np.int64) - 1]
+            fresh.append(values)
+            found += len(values)
+        seeds = np.concatenate(fresh)
+        if not len(seeds):
             continue
         offsets, indices = plan_droplets(seeds, k, dist)
         n = len(seeds)
         xored = np.bitwise_xor.reduceat(seg_words[indices], offsets[:-1], axis=0)
         raw = np.empty((n, OLIGO_HEADER_BYTES + segment_size), dtype=np.uint8)
-        raw[:, :4] = np.array(seeds, dtype=">u4").view(np.uint8).reshape(n, 4)
+        raw[:, :4] = seeds.astype(">u4").view(np.uint8).reshape(n, 4)
         raw[:, 4:-4] = xored.view(np.uint8)[:, :segment_size]
         raw[:, -4:] = frame_crcs(raw).astype(">u4").view(np.uint8).reshape(n, 4)
         codes = bytes_to_codes(raw)

@@ -76,6 +76,27 @@ class Xorshift64Star:
         self._state = s
         return (s * _STAR) & MASK64
 
+    def next_u64s(self, count: int) -> np.ndarray:
+        """The next ``count`` values of :meth:`next_u64` as a uint64 array.
+
+        As in ``_draw``: the first ``_LOCKSTEP`` states are stepped one by
+        one, and each jump of ``2**p`` steps then doubles the states drawn.
+        """
+        states = np.empty(count, dtype=np.uint64)
+        head = []
+        for _ in range(min(count, _LOCKSTEP)):
+            self.next_u64()
+            head.append(self._state)
+        states[: len(head)] = head
+        length = _LOCKSTEP
+        while length < count:
+            more = min(length, count - length)
+            states[length : length + more] = _jump(_JUMPS[length.bit_length() - 1], states[:more])
+            length *= 2
+        if count:
+            self._state = int(states[-1])
+        return states * np.uint64(_STAR)
+
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))

@@ -22,9 +22,14 @@ oligo once at read index 0, then all again at index 1, so a lower coverage
 is a prefix of a higher one.
 
 Indels are out of scope; framing stays fixed-length so the consensus step
-can vote position by position. Beads and reads hold ``(n, L)`` matrices of
-base codes, and consensus hands back packed frame bytes: strings appear
-only in ``Bead.oligos`` and in the bead files on disk.
+can vote position by position. Beads hold ``(n, L)`` matrices of base
+codes. The channel records where substitutions hit instead of writing them
+into copies, so sequencing builds only the reads that took one. A
+:class:`ReadSet` row is one distinct read, and its count is how many reads
+carry it: each stored oligo with a clean read is one row, and at a low rate
+most reads are such copies. Consensus counts each row once per read and
+hands back packed frame bytes: strings appear only in ``Bead.oligos`` and in
+the bead files on disk.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 from .dna_codec import codes_to_bytes, oligo_strings
 from .errors import EmptyBead
 from .fountain import OLIGO_HEADER_BYTES, frame_crcs, read_oligo_file, split_frames, write_oligo_file
-from .rng import derive_seed, seed_states, step_states, substream_array
+from .rng import GOLDEN, derive_seed, seed_states, step_states, substream_array
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,19 @@ class Bead:
 
 @dataclass(eq=False)
 class ReadSet:
-    reads: np.ndarray  # (coverage * n, L) base codes, round-major
+    """The reads of one bead, each distinct read once.
+
+    ``reads`` is an ``(m, L)`` base-code matrix. Row ``i`` is a read's
+    content, and ``counts[i]`` is how many reads carry it. From
+    :func:`sequence_bead` the rows are distinct and come in the order of their
+    first read, round-major, so a lower coverage's rows are a prefix of a
+    higher one's. A hand-built set may leave ``counts`` as None: each row then
+    stands for one read, and equal rows may repeat.
+    """
+
+    reads: np.ndarray
     coverage: int
+    counts: np.ndarray | None = None
 
 
 def _hits(u: np.ndarray, rate: float) -> np.ndarray:
@@ -89,16 +105,24 @@ def _hits(u: np.ndarray, rate: float) -> np.ndarray:
     return u < np.uint64(int(rate * (1 << 64)))
 
 
-def _substitute(codes: np.ndarray, states: np.ndarray, rate: float) -> np.ndarray:
-    """Substitute the rows of ``codes`` in place by one draw per stream (row) and base; returns ``codes``."""
-    for pos in range(codes.shape[1]):
+def _substitute(states: np.ndarray, length: int, rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step every stream once per base of a ``length``-base row; returns the hits ``(rows, positions, shifts)``.
+
+    Base ``positions[h]`` of row ``rows[h]`` becomes ``(code + shifts[h]) % 4``.
+    Hits come position by position, rows ascending within a position, and no
+    ``(row, position)`` pair repeats.
+    """
+    rows, draws = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint64)]
+    for _ in range(length):
         u = step_states(states)
         if rate <= 0.0:
             continue  # nothing substitutes, but the draw is still taken, as the randomness contract says
-        hits = np.flatnonzero(_hits(u, rate))
-        offset = ((u[hits] >> np.uint64(32)) % np.uint64(3)).astype(np.uint8)
-        codes[hits, pos] = (codes[hits, pos] + 1 + offset) % 4
-    return codes
+        hit = np.flatnonzero(_hits(u, rate))
+        rows.append(hit)
+        draws.append(u[hit])
+    positions = np.arange(len(rows) - 1).repeat([len(r) for r in rows[1:]])
+    shifts = ((np.concatenate(draws) >> np.uint64(32)) % np.uint64(3) + np.uint64(1)).astype(np.uint8)
+    return np.concatenate(rows), positions, shifts
 
 
 def synthesize(codes: np.ndarray, manifest: Manifest, model: ErrorModel, bead_id: str) -> Bead:
@@ -112,14 +136,22 @@ def synthesize(codes: np.ndarray, manifest: Manifest, model: ErrorModel, bead_id
     states = seed_states(substream_array(base, np.arange(len(codes))))
     kept = ~_hits(step_states(states), model.oligo_dropout_rate)  # dropout draw, consumed even at rate 0
     # Each row's draws come from its own stream, so a dropped row's draws need not be taken.
-    return Bead(bead_id, _substitute(codes[kept], states[kept], model.substitution_rate), manifest)
+    stored = codes[kept]
+    rows, positions, shifts = _substitute(states[kept], codes.shape[1], model.substitution_rate)
+    stored[rows, positions] = (stored[rows, positions] + shifts) % 4
+    return Bead(bead_id, stored, manifest)
 
 
 def sequence_bead(bead: Bead, coverage: int, model: ErrorModel) -> ReadSet:
-    """Emit ``coverage`` noisy reads of every stored oligo as one matrix, round-major."""
+    """Sequence ``coverage`` noisy reads of every stored oligo, each distinct read once with its count.
+
+    Read ``j * n + i`` is read ``j`` of stored row ``i``; without a
+    substitution it is that row, so only the reads that took one are built.
+    The rows come in order of their first read (see :class:`ReadSet`).
+    """
     if coverage < 1:
         raise ValueError("coverage must be at least 1")
-    n = len(bead.codes)
+    n, length = bead.codes.shape
     if not n:
         raise EmptyBead(f"bead {bead.bead_id} holds no oligos")
 
@@ -127,8 +159,53 @@ def sequence_bead(bead: Bead, coverage: int, model: ErrorModel) -> ReadSet:
     oligo_seeds = substream_array(base, np.arange(n))
     # (coverage, n) grid of per-read stream seeds: row j holds read j of every oligo.
     read_seeds = substream_array(oligo_seeds[None, :], np.arange(coverage)[:, None])
-    reads = np.tile(bead.codes, (coverage, 1))
-    return ReadSet(_substitute(reads, seed_states(read_seeds.reshape(-1)), model.substitution_rate), coverage)
+    reads, positions, shifts = _substitute(seed_states(read_seeds.reshape(-1)), length, model.substitution_rate)
+    if not len(reads):  # no read took a hit, as at zero noise: each stored row stands for all its reads
+        rows, counts = _distinct(bead.codes.copy(), np.full(n, coverage))
+        return ReadSet(rows, coverage, counts)
+
+    # Row c < n is stored row c, standing for its reads without a hit; row n + h is the h-th read with
+    # a hit, in read order. Each row comes in at its first read.
+    hit = np.bincount(reads, minlength=coverage * n) > 0
+    noisy = np.flatnonzero(hit)
+    clean = ~hit.reshape(coverage, n)
+    counts = np.concatenate([clean.sum(axis=0), np.ones(len(noisy), dtype=np.int64)])
+    first = np.full(coverage * n, -1)  # the row whose first read each read is
+    first[clean.argmax(axis=0) * n + np.arange(n)] = np.arange(n)
+    first[noisy] = n + np.arange(len(noisy))
+    order = first[first >= 0]  # a stored row all of whose reads took a hit has none
+    rows = bead.codes[np.concatenate([np.arange(n), noisy % n])[order]]
+    at = np.zeros(n + len(noisy), dtype=np.int64)
+    at[order] = np.arange(len(order))
+    target = at[first[reads]]  # where each hit's read landed
+    rows[target, positions] = (rows[target, positions] + shifts) % 4
+    rows, counts = _distinct(rows, counts[order])
+    return ReadSet(rows, coverage, counts)
+
+
+def _distinct(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows collapsed onto the first of them, their counts added.
+
+    A 64-bit hash of each row (its bytes as little-endian words times odd
+    multipliers) finds the rows to compare whole: those whose hash repeats.
+    """
+    length = rows.shape[1]
+    words = np.zeros((len(rows), -(-length // 8) * 8), dtype=np.uint8)
+    words[:, :length] = rows
+    words = words.view("<u8")
+    keys = words @ (np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(GOLDEN) | np.uint64(1))
+    ranked = np.sort(keys)
+    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+    if not len(repeated):
+        return rows, counts
+    shared = np.flatnonzero(np.isin(keys, repeated))
+    _, earliest, equal = np.unique(rows[shared], axis=0, return_index=True, return_inverse=True)
+    onto = shared[earliest[equal]]  # the first row equal to each shared row
+    dropped = onto != shared
+    np.add.at(counts, onto[dropped], counts[shared[dropped]])
+    keep = np.ones(len(rows), dtype=bool)
+    keep[shared[dropped]] = False
+    return rows[keep], counts[keep]
 
 
 def consensus_reads(read_set: ReadSet, segment_size: int) -> np.ndarray:
@@ -140,12 +217,13 @@ def consensus_reads(read_set: ReadSet, segment_size: int) -> np.ndarray:
     survives only if it passes the CRC. Returns the ``(m, 8 + segment_size)``
     packed bytes of the survivors, in first-seen group order.
 
-    Each read is packed to bytes and CRC-checked once. Groups come from a
-    stable argsort of the packed 4-byte seed field. A pool whose reads all
-    agree yields its first read unchanged; the other pools are voted
-    together from per-column base counts, the lowest code (alphabetically
-    first base) winning a tie. Reads whose length is not the frame length
-    have nothing to vote on and yield no consensus.
+    Each row stands for its count of reads (one without counts) and is
+    packed to bytes and CRC-checked once. Groups come from a stable argsort
+    of the packed 4-byte seed field. A pool whose rows all agree yields its
+    first row unchanged; the other pools are voted together, each row's
+    bases counting once per read it stands for, the lowest code
+    (alphabetically first base) winning a tie. Reads whose length is not the
+    frame length have nothing to vote on and yield no consensus.
     """
     width = OLIGO_HEADER_BYTES + segment_size
     codes = read_set.reads
@@ -162,14 +240,19 @@ def consensus_reads(read_set: ReadSet, segment_size: int) -> np.ndarray:
     pool, pool_group = order[pooled], group[pooled]
     pool_starts = np.searchsorted(pool_group, np.arange(len(group_starts)))  # every group keeps a pool
     first = pool[pool_starts]
-    agree = np.logical_and.reduceat((frames[pool] == frames[first[pool_group]]).all(axis=1), pool_starts)
+    whole = frames.view(np.dtype((np.void, width))).ravel()  # one item per row
+    agree = np.logical_and.reduceat(whole[pool] == whole[first[pool_group]], pool_starts)
     out, keep = frames[first], valid[first] & agree
     ballot = ~agree[pool_group]
     if ballot.any():
-        sizes = np.diff(pool_starts, append=len(pool))[~agree]
-        votes = codes[pool[ballot]]
-        counts = np.stack([np.add.reduceat(votes == b, sizes.cumsum() - sizes, axis=0, dtype=np.int32) for b in range(4)])
-        voted = codes_to_bytes(counts.argmax(axis=0).astype(np.uint8))  # argmax takes the first, lowest code on a tie
+        voters, length = pool[ballot], codes.shape[1]
+        box = (np.cumsum(~agree) - 1)[pool_group[ballot]]  # which voted pool each voter is in, ascending
+        cells = (int(box[-1]) + 1) * length  # one per voted pool and column
+        slots = (codes[voters].astype(np.int64) * cells + (box[:, None] * length + np.arange(length))).ravel()
+        weights = np.ones(len(voters)) if read_set.counts is None else read_set.counts[voters]
+        tally = np.bincount(slots, weights.repeat(length), minlength=4 * cells).reshape(4, cells)
+        best = (tally * 4 + np.arange(3, -1, -1)[:, None]).max(axis=0)  # most votes, then the lowest code
+        voted = codes_to_bytes((3 - best % 4).astype(np.uint8).reshape(-1, length))
         out[~agree], keep[~agree] = voted, frame_crcs(voted) == split_frames(voted)[2]
     seen = np.argsort(order[group_starts])  # groups in the order their first read came
     return out[seen][keep[seen]]

@@ -3,6 +3,7 @@
 import random
 import zlib
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,10 +119,60 @@ def test_consensus_drops_all_invalid_group_and_keeps_valid_one():
     assert matrix_consensus(reads, SEGMENT) == [second] == reference_consensus(reads, SEGMENT)
 
 
+def expanded(read_set) -> list[str]:
+    """The reads a weighted read set stands for, each row repeated by its count."""
+    return [row for row, count in zip(oligo_strings(read_set.reads), read_set.counts.tolist()) for _ in range(count)]
+
+
+def rendered(frames) -> list[str]:
+    return [bytes_to_dna(frame.tobytes()) for frame in frames]
+
+
+def test_each_row_votes_once_per_read_it_stands_for():
+    (clean,) = oligos(1, 7)
+    rnd = random.Random(2)
+    # No clean read: a row with an error at 20 stands for 3 reads, two rows with other errors for 1 each.
+    rows = [mutate(clean, [20], rnd), mutate(clean, [30], rnd), mutate(clean, [40], rnd)]
+    weighted = ReadSet(oligo_codes(rows), 1, np.array([3, 1, 1]))
+    reads = [rows[0]] * 3 + rows[1:]
+    assert rendered(consensus_reads(weighted, SEGMENT)) == reference_consensus(reads, SEGMENT) == []
+    assert matrix_consensus(rows, SEGMENT) == reference_consensus(rows, SEGMENT) == [clean]  # one vote each
+
+
 def test_consensus_on_a_sequenced_bead_matches_reference():
     designed = oligos(40, 8)
     manifest = Manifest(40, SEGMENT, 40 * SEGMENT, len(designed))
     bead = synthesize(oligo_codes(designed), manifest, ErrorModel(substitution_rate=0.01, rng_seed=2), "ref")
     for coverage in (1, 2, 5):
-        reads = oligo_strings(sequence_bead(bead, coverage, ErrorModel(substitution_rate=0.03, rng_seed=9)).reads)
-        assert matrix_consensus(reads, SEGMENT) == reference_consensus(reads, SEGMENT)
+        read_set = sequence_bead(bead, coverage, ErrorModel(substitution_rate=0.03, rng_seed=9))
+        reads = expanded(read_set)
+        assert rendered(consensus_reads(read_set, SEGMENT)) == reference_consensus(reads, SEGMENT)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    count=st.integers(1, 5),
+    rate=st.sampled_from([0.0, 0.02, 0.1]),
+    seed_hits=st.booleans(),
+    copies=st.lists(st.integers(1, 4), min_size=1, max_size=40),
+)
+def test_weighted_consensus_matches_reference_on_expanded_reads(seed, count, rate, seed_hits, copies):
+    rnd = random.Random(seed)
+    designed = oligos(count, seed % 89)
+    rows = []
+    for _ in copies:
+        oligo = rnd.choice(designed)
+        # Errors in the payload and CRC fields keep a read in its group; seed-field errors move it.
+        low = 0 if seed_hits else 16
+        rows.append(mutate(oligo, [p for p in range(low, len(oligo)) if rnd.random() < rate], rnd))
+    if rnd.random() < 0.5:  # a group with no clean read: every read of one molecule carries errors
+        broken = rnd.choice(designed)
+        rows = [mutate(r, [30], random.Random(0)) if r == broken else r for r in rows]
+    rows += rnd.sample(rows, min(len(rows), rnd.randrange(3)))  # duplicate rows, counted on their own
+    counts = copies + [rnd.randint(1, 4) for _ in range(len(rows) - len(copies))]
+    read_set = ReadSet(oligo_codes(rows), 1, np.array(counts))
+    reads = [row for row, c in zip(rows, counts) for _ in range(c)]
+    assert rendered(consensus_reads(read_set, SEGMENT)) == reference_consensus(reads, SEGMENT)
+    # Without counts every row stands for one read.
+    assert matrix_consensus(rows, SEGMENT) == reference_consensus(rows, SEGMENT)

@@ -4,10 +4,15 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnavault.dna_codec import (
+    bytes_to_codes,
     bytes_to_dna,
+    codes_to_bytes,
     cgk_factorize,
     dna_to_bytes,
     dna_to_number,
@@ -52,6 +57,33 @@ def test_random_long_inputs_roundtrip():
         assert dna_to_bytes(seq) == data
     assert bytes_to_dna(b"") == ""
     assert dna_to_bytes("") == b""
+
+
+_SHIFTS = np.array([6, 4, 2, 0], dtype=np.uint8)
+
+
+def reference_codes_to_bytes(codes):
+    """The packing by one uint8 matmul that the multiply-shift replaced."""
+    return codes.reshape(len(codes), -1, 4) @ (1 << _SHIFTS)
+
+
+def reference_bytes_to_codes(raw):
+    """The unpacking by broadcast shifts that the spread table replaced."""
+    return ((raw[:, :, None] >> _SHIFTS) & 3).reshape(len(raw), -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 12), width=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), sliced=st.booleans())
+def test_code_matrix_kernels_match_their_references(rows, width, seed, sliced):
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 256, (rows, width), dtype=np.uint8)
+    codes = rng.integers(0, 4, (rows, 4 * width + sliced), dtype=np.uint8)[:, : 4 * width]  # maybe a strided view
+    assert np.array_equal(bytes_to_codes(raw), reference_bytes_to_codes(raw))
+    assert bytes_to_codes(raw).dtype == np.uint8
+    packed = codes_to_bytes(codes)
+    assert packed.dtype == np.uint8 and np.array_equal(packed, reference_codes_to_bytes(codes))
+    assert np.array_equal(codes_to_bytes(bytes_to_codes(raw)), raw)
+    assert bytes_to_codes(raw[:1]).tobytes().translate(b"ACGT".ljust(256, b"?")).decode() == bytes_to_dna(raw[0].tobytes())
 
 
 def test_dna_to_bytes_rejects_bad_lengths_and_symbols():

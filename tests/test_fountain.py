@@ -1,5 +1,6 @@
 """Fragmentation, droplet coding, peeling decode, oligo framing, screening."""
 
+import math
 import random
 import struct
 import zlib
@@ -7,7 +8,8 @@ import zlib
 import numpy as np
 import pytest
 
-from dnavault.dna_codec import bytes_to_dna, oligo_strings
+from dnavault import fountain
+from dnavault.dna_codec import bytes_to_dna, codes_to_bytes, oligo_strings
 from dnavault.errors import (
     ChecksumMismatch,
     EmptyInput,
@@ -33,6 +35,7 @@ from dnavault.fountain import (
     split_frames,
     write_oligo_file,
 )
+from dnavault.rng import Xorshift64Star
 
 
 def oracle_crc32(data: bytes) -> int:
@@ -110,6 +113,39 @@ def test_robust_soliton_rejects_bad_parameters():
         RobustSoliton(10, c=0)
     with pytest.raises(ValueError):
         RobustSoliton(10, delta=1.0)
+
+
+def reference_soliton_cdf(k: int, c: float = 0.1, delta: float = 0.05) -> tuple[list[float], list[float]]:
+    """Probabilities and CDF in Python floats, every sum taken left to right."""
+    weights = [0.0] * (k + 1)
+    weights[1] = 1.0 / k
+    for d in range(2, k + 1):
+        weights[d] += 1.0 / (d * (d - 1))
+    r = c * math.log(k / delta) * math.sqrt(k)
+    spike = int(k / r) if r > 0 else 0
+    for d in range(1, min(spike, k + 1)):
+        weights[d] += r / (d * k)
+    if 1 <= spike <= k:
+        weights[spike] += r * math.log(r / delta) / k
+    total = 0.0
+    for w in weights:
+        total += w
+    probabilities = [w / total for w in weights[1:]]
+    cdf, acc = [], 0.0
+    for p in probabilities:
+        acc += p
+        cdf.append(acc)
+    cdf[-1] = 1.0
+    return probabilities, cdf
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 100, 32768])
+def test_soliton_cdf_is_bitwise_the_left_to_right_float_sums(k):
+    # Python 3.12 made sum() compensated; the distribution must not depend on the interpreter.
+    probabilities, cdf = reference_soliton_cdf(k)
+    dist = RobustSoliton(k)
+    assert np.asarray(dist.probabilities).tobytes() == np.array(probabilities).tobytes()
+    assert dist.cdf.tobytes() == np.array(cdf).tobytes()
 
 
 def test_degree_spike_boosts_low_degrees():
@@ -225,6 +261,50 @@ def test_recoverable_segments_predicts_decode():
     dist = RobustSoliton(2)
     seed01 = find_seed_covering(2, [0, 1], dist)
     assert recoverable_segments(*plan_droplets([seed01], 2, dist), 2) == 0
+
+
+class FewSeeds(Xorshift64Star):
+    """The master stream with its candidate seeds (the top 32 bits) folded onto 0..39, so they repeat."""
+
+    def next_u64(self):
+        return (super().next_u64() % 40) << 32
+
+    def next_u64s(self, count):
+        return (super().next_u64s(count) % np.uint64(40)) << np.uint64(32)
+
+
+class EvenSeeds:
+    """A screen passing the candidates whose seed is even."""
+
+    def accepts_codes(self, codes):
+        return codes_to_bytes(codes)[:, 3] % 2 == 0
+
+
+def first_seeds(rng_seed: int, draws: int) -> list[int]:
+    """The distinct seeds of the folded stream's first ``draws`` values, in order of first appearance."""
+    rng, seen = FewSeeds(rng_seed), []
+    for _ in range(draws):
+        seed = rng.next_u64() >> 32
+        if seed not in seen:
+            seen.append(seed)
+    return seen
+
+
+@pytest.mark.parametrize("screen", [None, EvenSeeds()])
+def test_candidate_seeds_are_the_streams_first_distinct_seeds(monkeypatch, screen):
+    monkeypatch.setattr(fountain, "Xorshift64Star", FewSeeds)
+    segments, _ = fragment(random.Random(4).randbytes(64), 8)
+    batch = encode_droplets(segments, 15, rng_seed=9, screen=screen)
+    expected = [s for s in first_seeds(9, 2000) if screen is None or s % 2 == 0][:15]
+    assert split_frames(batch.frames)[0].tolist() == expected
+
+
+def test_starvation_counts_every_draw_the_seen_skip_took(monkeypatch):
+    # 20 even seeds exist, so 25 droplets exhaust the budget of 200 * 25 + 1000 draws.
+    monkeypatch.setattr(fountain, "Xorshift64Star", FewSeeds)
+    segments, _ = fragment(random.Random(4).randbytes(64), 8)
+    with pytest.raises(ScreenStarvation, match=r"^screen accepted 20 of 25 droplets in 6001 attempts$"):
+        encode_droplets(segments, 25, rng_seed=9, screen=EvenSeeds())
 
 
 def test_screen_starvation_is_reported():

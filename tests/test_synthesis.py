@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnavault.dna_codec import bytes_to_dna, oligo_codes, oligo_strings
 from dnavault.errors import EmptyBead
@@ -138,11 +140,72 @@ def test_sequencing_zero_error_repeats_contents():
     oligos, manifest = make_oligos(count=6)
     bead = synth(oligos, manifest, ErrorModel(), "s0")
     reads = sequence_bead(bead, 3, ErrorModel())
-    assert len(reads.reads) == 18
-    for oligo in oligos:
-        assert read_strings(reads).count(oligo) == 3
+    assert read_strings(reads) == oligos  # each distinct read once, in bead order
+    assert reads.counts.tolist() == [3] * 6
     single = sequence_bead(bead, 1, ErrorModel())
     assert read_strings(single) == oligos  # coverage 1, round-major => bead order
+    assert single.counts.tolist() == [1] * 6
+
+
+def reference_reads(bead, coverage, model):
+    """Every read one by one, round-major, by the scalar reference of the noise semantics."""
+    base = derive_seed("sequence", model.rng_seed, bead.bead_id)
+    return [
+        scalar_corrupt(oligo, substream(substream(base, i), j), model.substitution_rate, skip_dropout_draw=False)
+        for j in range(coverage)
+        for i, oligo in enumerate(bead.oligos)
+    ]
+
+
+def collapse(reads):
+    """Distinct reads in order of first appearance, and how many reads each stands for."""
+    counts = {}
+    for read in reads:
+        counts[read] = counts.get(read, 0) + 1
+    return list(counts), list(counts.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    count=st.integers(1, 8),
+    segment_size=st.sampled_from([1, 2, 8]),
+    rate=st.sampled_from([0.0, 0.001, 0.05]),
+    dropout=st.sampled_from([0.0, 0.3]),
+    coverage=st.integers(1, 5),
+    repeats=st.integers(0, 2),
+)
+def test_sequenced_rows_are_the_collapsed_reads(seed, count, segment_size, rate, dropout, coverage, repeats):
+    oligos, manifest = make_oligos(count=count, segment_size=segment_size, seed=seed)
+    rnd = random.Random(seed)
+    for _ in range(repeats):  # a bead may hold equal molecules
+        oligos.insert(rnd.randrange(len(oligos) + 1), rnd.choice(oligos))
+    model = ErrorModel(rate, dropout, rng_seed=seed % 7)
+    bead = synth(oligos, manifest, model, f"prop-{seed}")
+    if not len(bead.codes):
+        return
+    lower = []
+    for cov in range(1, coverage + 1):
+        reads = sequence_bead(bead, cov, model)
+        rows, counts = collapse(reference_reads(bead, cov, model))
+        assert (read_strings(reads), reads.counts.tolist(), reads.coverage) == (rows, counts, cov)
+        assert rows[: len(lower)] == lower  # a lower coverage's rows are a prefix
+        lower = rows
+
+
+def test_equal_noisy_reads_collapse_onto_their_first():
+    # Short oligos at a high rate: two reads that took the same substitutions count as one row.
+    oligos, manifest = make_oligos(count=3, segment_size=1, seed=1)
+    bead = synth(oligos, manifest, ErrorModel(), "twins")
+    for rng_seed in range(200):
+        model = ErrorModel(0.02, rng_seed=rng_seed)
+        rows, counts = collapse(reference_reads(bead, 5, model))
+        if any(count > 1 for row, count in zip(rows, counts) if row not in oligos):
+            break
+    else:
+        pytest.fail("no seed gave two equal noisy reads")
+    reads = sequence_bead(bead, 5, model)
+    assert (read_strings(reads), reads.counts.tolist()) == (rows, counts)
 
 
 def test_lower_coverage_reads_are_a_prefix():
