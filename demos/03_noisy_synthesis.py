@@ -11,21 +11,20 @@ import random
 
 from dnavault.dna_codec import bytes_to_dna
 from dnavault.fountain import encode_droplets, fragment
-from dnavault.synthesis import ErrorModel, Manifest, consensus_reads, sequence_bead, synthesize
+from dnavault.synthesis import ErrorModel, consensus_reads, sequence_bead, synthesize
 
 SEGMENT = 16
 data = random.Random(1).randbytes(40 * SEGMENT)
-segments, length = fragment(data, SEGMENT)
+segments, _ = fragment(data, SEGMENT)
 batch = encode_droplets(segments, 64, rng_seed=5)
 designed = batch.codes  # one row of base codes per oligo
 oligos = [bytes_to_dna(frame.tobytes()) for frame in batch.frames]
-manifest = Manifest(len(segments), SEGMENT, length, len(oligos))
 
 print("=" * 70)
 print("1. SYNTHESIS NOISE CORRUPTS THE STORED MOLECULES")
 print("=" * 70)
 model = ErrorModel(substitution_rate=0.005, oligo_dropout_rate=0.05, rng_seed=7)
-bead = synthesize(designed, manifest, model, "demo-bead")
+bead = synthesize(designed, model, "demo-bead")
 survivors = len(bead.oligos)
 intact = sum(o in set(oligos) for o in bead.oligos)
 print(f"  designed oligos : {len(oligos)}")
@@ -52,7 +51,7 @@ print()
 print("=" * 70)
 print("3. DETERMINISM")
 print("=" * 70)
-again = synthesize(designed, manifest, model, "demo-bead")
-other = synthesize(designed, manifest, model, "other-bead")
+again = synthesize(designed, model, "demo-bead")
+other = synthesize(designed, model, "other-bead")
 print(f"  same bead id, same seed : identical stored content -> {again.oligos == bead.oligos}")
 print(f"  different bead identity : different corruption    -> {other.oligos != bead.oligos}")

@@ -15,13 +15,13 @@ from dnavault.dna_codec import oligo_codes
 from dnavault.errors import BeadUnavailable
 from dnavault.ledger import CodecParams, FileRecord, Validator, append_block, fold_records, genesis, record_create
 from dnavault.network import Cluster, PlacementPolicy
-from dnavault.synthesis import Bead, Manifest
+from dnavault.synthesis import Bead
 
 print("=" * 70)
 print("1. RENDEZVOUS PLACEMENT IS BALANCED AND DETERMINISTIC")
 print("=" * 70)
 cluster = Cluster([f"n{i}" for i in range(8)])
-beads = [Bead(f"bead.{i}", oligo_codes(["ACGTACGT"]), Manifest(1, 1, 1, 1)) for i in range(120)]
+beads = [Bead(f"bead.{i}", oligo_codes(["ACGTACGT"])) for i in range(120)]
 placement = cluster.place_beads(beads, PlacementPolicy(3), placement_seed=11)
 load = Counter(node_id for _, node_id in placement)
 for node_id in sorted(load):

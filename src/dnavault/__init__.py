@@ -21,7 +21,7 @@ from . import errors
 from .contract import StorageContract, StoreParams, UploadReceipt
 from .ledger import Block, CodecParams, FileRecord, Validator
 from .network import Cluster, PlacementPolicy
-from .synthesis import Bead, ErrorModel, Manifest, ReadSet
+from .synthesis import Bead, ErrorModel, ReadSet
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "CodecParams",
     "ErrorModel",
     "FileRecord",
-    "Manifest",
     "PlacementPolicy",
     "ReadSet",
     "StorageContract",

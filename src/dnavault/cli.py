@@ -205,12 +205,10 @@ def _cmd_bench(args) -> int:
         failure = exc
     elapsed = time.perf_counter() - start
 
-    # droplets actually encoded: screening and the peelability top-up move it off ceil(overhead * K)
+    # droplets stored: screening and the peelability top-up move it off ceil(overhead * K), dropout below it
     droplets = 0
     if receipt is not None:
-        droplets = sum(
-            cluster.retrieve_bead(bead_id, receipt.placement).manifest.oligo_count for bead_id in receipt.bead_ids
-        )
+        droplets = sum(len(cluster.retrieve_bead(bead_id, receipt.placement).codes) for bead_id in receipt.bead_ids)
     result = {
         "ok": ok,
         "elapsed_s": round(elapsed, 3),

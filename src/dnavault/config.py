@@ -5,7 +5,7 @@ after a restart::
 
     <state>/config.json   host/port, store defaults, topology, validators
     <state>/chain.jsonl   the persisted ledger, one canonical block per line
-    <state>/beads/        bead content, one directory per bead
+    <state>/beads/        bead content: beads/<id>/oligos.txt, one per bead
 
 The directory is chosen by, in priority order: an explicit CLI/API value,
 the ETRUS_STATE_DIR environment variable, then ``./state``.

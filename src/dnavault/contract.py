@@ -65,7 +65,7 @@ from .fountain import (
 from .ledger import Block, CodecParams, FileRecord, Ledger, Validator, save_chain
 from .network import Cluster, PlacementPolicy
 from .rng import derive_seed
-from .synthesis import Bead, ErrorModel, Manifest, consensus_reads, save_bead, sequence_bead, synthesize
+from .synthesis import ErrorModel, consensus_reads, save_bead, sequence_bead, synthesize
 
 
 def field_values(obj, skip: tuple[str, ...] = ()) -> dict:
@@ -166,10 +166,6 @@ class StorageContract:
         if self.state_dir is not None:
             ledger.append_chain_file(self.state_dir / "chain.jsonl", block)
 
-    def _persist_bead(self, bead: Bead) -> None:
-        if self.state_dir is not None:
-            save_bead(self.state_dir / "beads", bead)
-
     # --- workflow operations ---
 
     _ENCODE_SEEDS = 4
@@ -223,16 +219,15 @@ class StorageContract:
 
         # Round-robin assignment; tiny files get fewer beads rather than empty ones.
         n_beads = min(params.beads_per_file, len(codes))
-        beads = []
-        for i in range(n_beads):
-            manifest = Manifest(k, params.segment_size, original_length, len(codes[i::n_beads]))
-            beads.append(synthesize(codes[i::n_beads], manifest, params.error_model, f"{file_hash[:16]}.{i}"))
+        beads = [synthesize(codes[i::n_beads], params.error_model, f"{file_hash[:16]}.{i}") for i in range(n_beads)]
 
         placement = self.cluster.place_beads(
             beads, PlacementPolicy(params.replication), derive_seed("placement", file_hash)
         )
-        for bead in beads:
-            self._persist_bead(bead)
+        codec = CodecParams(k, params.segment_size, original_length)
+        if self.state_dir is not None:
+            for bead in beads:
+                save_bead(self.state_dir / "beads", bead, codec)
 
         record = FileRecord(
             file_hash=file_hash,
@@ -240,7 +235,7 @@ class StorageContract:
             timestamp=int(self.clock()),
             bead_locations=placement,
             permissions=set(),
-            codec_params=CodecParams(k, params.segment_size, original_length),
+            codec_params=codec,
         )
         block = self.ledger.append([ledger.record_create(record)], self.validators, int(self.clock()))
         self._persist_block(block)

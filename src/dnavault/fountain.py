@@ -31,11 +31,10 @@ import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dna_codec import CHAR_OF_CODE, CODE_OF_CHAR, bytes_to_codes, bytes_to_dna, dna_to_bytes, oligo_codes
+from .dna_codec import bytes_to_codes, bytes_to_dna, dna_to_bytes, oligo_codes
 from .errors import ChecksumMismatch, EmptyInput, InsufficientDroplets, LengthError, ScreenStarvation
 from .rng import Xorshift64Star, plan_batch
 
@@ -420,39 +419,3 @@ def oligo_to_droplet(
 def screen_oligo(seq: str, max_homopolymer: int, gc_min: float, gc_max: float) -> bool:
     """True iff no homopolymer run exceeds the cap and GC fraction is in range; the empty sequence passes."""
     return not seq or bool(OligoScreen(max_homopolymer, gc_min, gc_max).accepts_codes(oligo_codes([seq]))[0])
-
-
-# --- oligo file format --------------------------------------------------------
-#
-# Plain text, one uppercase oligo per line, LF separated, with a single
-# header line carrying the decode parameters:
-#
-#   #K=<int> SEG=<int> LEN=<int>
-
-
-def write_oligo_file(path: Path | str, codes: np.ndarray, k: int, segment_size: int, original_length: int) -> None:
-    """Write the rows of an ``(n, L)`` base-code matrix as oligo lines under the header."""
-    lines = np.empty((len(codes), codes.shape[1] + 1), dtype=np.uint8)
-    lines[:, :-1], lines[:, -1] = codes, 4  # code 4 renders as the line end
-    header = f"#K={k} SEG={segment_size} LEN={original_length}\n".encode("ascii")
-    Path(path).write_bytes(header + lines.tobytes().translate(CHAR_OF_CODE))
-
-
-def read_oligo_file(path: Path | str) -> tuple[np.ndarray, int, int, int]:
-    """Returns (codes, K, segment_size, original_length); the lines, all non-blank and of one length, as codes."""
-    header, _, body = Path(path).read_bytes().partition(b"\n")
-    if not header.startswith(b"#"):
-        raise ValueError(f"{path}: missing oligo file header")
-    fields = dict(item.split("=", 1) for item in header[1:].decode("ascii").split())
-    try:
-        k = int(fields["K"])
-        segment_size = int(fields["SEG"])
-        original_length = int(fields["LEN"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed oligo file header") from exc
-    lines = np.frombuffer(body.translate(CODE_OF_CHAR), dtype=np.uint8)
-    width = body.find(b"\n") + 1  # the first line with its line end
-    rows = lines.reshape(-1, width) if width > 1 and len(lines) % width == 0 else lines[:, None]
-    if body and (rows.shape[1] < 2 or (rows[:, -1] != 4).any() or rows[:, :-1].max() > 3):
-        raise ValueError(f"{path}: oligo lines are blank or of unequal length")
-    return rows[:, :-1], k, segment_size, original_length

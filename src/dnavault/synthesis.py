@@ -30,19 +30,25 @@ carry it: each stored oligo with a clean read is one row, and at a low rate
 most reads are such copies. Consensus counts each row once per read and
 hands back packed frame bytes: strings appear only in ``Bead.oligos`` and in
 the bead files on disk.
+
+A bead is its oligos and nothing else: what a reader needs to decode them
+(K, segment size, length) is the ledger record's :class:`CodecParams`,
+written once more as the header of the bead's file, and the number of
+oligos is the number of rows.
 """
 
 from __future__ import annotations
 
-import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dna_codec import codes_to_bytes, oligo_strings
+from .dna_codec import CHAR_OF_CODE, CODE_OF_CHAR, codes_to_bytes, oligo_strings
 from .errors import EmptyBead
-from .fountain import OLIGO_HEADER_BYTES, frame_crcs, read_oligo_file, split_frames, write_oligo_file
+from .fountain import OLIGO_HEADER_BYTES, frame_crcs, split_frames
+from .ledger import CodecParams
 from .rng import GOLDEN, derive_seed, seed_states, step_states, substream_array
 
 
@@ -59,21 +65,12 @@ class ErrorModel:
                 raise ValueError(f"{name} must lie in [0, 1], got {rate}")
 
 
-@dataclass(frozen=True)
-class Manifest:
-    k: int
-    segment_size: int
-    original_length: int
-    oligo_count: int
-
-
 @dataclass(eq=False)
 class Bead:
     """One simulated glass bead: an identified container of oligos, held as an ``(n, L)`` base-code matrix."""
 
     bead_id: str
     codes: np.ndarray
-    manifest: Manifest
 
     @property
     def oligos(self) -> list[str]:
@@ -125,7 +122,7 @@ def _substitute(states: np.ndarray, length: int, rate: float) -> tuple[np.ndarra
     return np.concatenate(rows), positions, shifts
 
 
-def synthesize(codes: np.ndarray, manifest: Manifest, model: ErrorModel, bead_id: str) -> Bead:
+def synthesize(codes: np.ndarray, model: ErrorModel, bead_id: str) -> Bead:
     """Produce a bead from the ``(n, L)`` base-code matrix of designed oligos through the synthesis channel.
 
     Dropout removes whole oligos; substitutions corrupt the stored copies.
@@ -139,7 +136,7 @@ def synthesize(codes: np.ndarray, manifest: Manifest, model: ErrorModel, bead_id
     stored = codes[kept]
     rows, positions, shifts = _substitute(states[kept], codes.shape[1], model.substitution_rate)
     stored[rows, positions] = (stored[rows, positions] + shifts) % 4
-    return Bead(bead_id, stored, manifest)
+    return Bead(bead_id, stored)
 
 
 def sequence_bead(bead: Bead, coverage: int, model: ErrorModel) -> ReadSet:
@@ -260,28 +257,41 @@ def consensus_reads(read_set: ReadSet, segment_size: int) -> np.ndarray:
 
 # --- on-disk bead format --------------------------------------------------------
 #
-#   beads/<bead_id>/oligos.txt     oligo file format (header + one oligo per line)
-#   beads/<bead_id>/manifest.json  {"K":, "segment_size":, "original_length":, "oligo_count":}
+#   beads/<bead_id>/oligos.txt
+#
+# Plain text, one uppercase oligo per line, LF separated, under a single
+# header line carrying the record's decode parameters:
+#
+#   #K=<int> SEG=<int> LEN=<int>
+
+_HEADER = re.compile(rb"#K=\d+ SEG=\d+ LEN=\d+")
 
 
-def save_bead(beads_dir: Path | str, bead: Bead) -> Path:
-    bead_dir = Path(beads_dir) / bead.bead_id
-    bead_dir.mkdir(parents=True, exist_ok=True)
-    m = bead.manifest
-    write_oligo_file(bead_dir / "oligos.txt", bead.codes, m.k, m.segment_size, m.original_length)
-    manifest = {
-        "K": m.k,
-        "segment_size": m.segment_size,
-        "original_length": m.original_length,
-        "oligo_count": m.oligo_count,
-    }
-    (bead_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return bead_dir
+def save_bead(beads_dir: Path | str, bead: Bead, codec: CodecParams) -> Path:
+    """Write the bead's oligos under the header of ``codec``; returns the file's path."""
+    path = Path(beads_dir) / bead.bead_id / "oligos.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = np.empty((len(bead.codes), bead.codes.shape[1] + 1), dtype=np.uint8)
+    lines[:, :-1], lines[:, -1] = bead.codes, 4  # code 4 renders as the line end
+    header = f"#K={codec.k} SEG={codec.segment_size} LEN={codec.original_length}\n".encode("ascii")
+    path.write_bytes(header + lines.tobytes().translate(CHAR_OF_CODE))
+    return path
 
 
 def load_bead(beads_dir: Path | str, bead_id: str) -> Bead:
-    bead_dir = Path(beads_dir) / bead_id
-    raw = json.loads((bead_dir / "manifest.json").read_text(encoding="utf-8"))
-    manifest = Manifest(raw["K"], raw["segment_size"], raw["original_length"], raw["oligo_count"])
-    codes, _, _, _ = read_oligo_file(bead_dir / "oligos.txt")
-    return Bead(bead_id, codes, manifest)
+    """The bead written by :func:`save_bead`; its lines, all non-blank and of one length, as codes.
+
+    A damaged file raises ValueError naming it.
+    """
+    path = Path(beads_dir) / bead_id / "oligos.txt"
+    header, _, body = path.read_bytes().partition(b"\n")
+    if not header.startswith(b"#"):
+        raise ValueError(f"{path}: missing oligo file header")
+    if not _HEADER.fullmatch(header):
+        raise ValueError(f"{path}: malformed oligo file header")
+    lines = np.frombuffer(body.translate(CODE_OF_CHAR), dtype=np.uint8)
+    width = body.find(b"\n") + 1  # the first line with its line end
+    rows = lines.reshape(-1, width) if width > 1 and len(lines) % width == 0 else lines[:, None]
+    if body and (rows.shape[1] < 2 or (rows[:, -1] != 4).any() or rows[:, :-1].max() > 3):
+        raise ValueError(f"{path}: oligo lines are blank or of unequal length")
+    return Bead(bead_id, rows[:, :-1])

@@ -36,7 +36,7 @@ from dnavault.fountain import decode, droplet_to_oligo, encode_droplets, fragmen
 from dnavault.ledger import Validator, select_validator
 from dnavault.network import Cluster, PlacementPolicy
 from dnavault.service import make_server
-from dnavault.synthesis import Bead, ErrorModel, Manifest
+from dnavault.synthesis import Bead, ErrorModel
 
 VALIDATORS = [Validator("v-a", 1), Validator("v-b", 3), Validator("v-c", 6)]
 
@@ -226,7 +226,7 @@ def test_stake_proportionality():
 @criterion("7. 6 nodes / r=3: retrieval over all 64 failure subsets matches host coverage")
 def test_fault_tolerance_exhaustive():
     cluster = Cluster([f"n{i}" for i in range(6)])
-    bead = Bead("the-bead", oligo_codes(["ACGTACGTACGTACGT"]), Manifest(1, 2, 2, 1))
+    bead = Bead("the-bead", oligo_codes(["ACGTACGTACGTACGT"]))
     placement = cluster.place_beads([bead], PlacementPolicy(3), placement_seed=7)
     hosts = {node_id for _, node_id in placement}
     assert len(hosts) == 3

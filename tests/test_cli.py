@@ -155,7 +155,7 @@ def test_bench_reports_the_droplets_actually_stored(capsys):
     assert code == 0
     cluster = Cluster([f"n{i}" for i in range(6)])
     receipt = StorageContract(cluster, [Validator("v", 1)]).upload_file("a", random.Random(11).randbytes(240))
-    stored = sum(cluster.retrieve_bead(b, receipt.placement).manifest.oligo_count for b in receipt.bead_ids)
+    stored = sum(len(cluster.retrieve_bead(b, receipt.placement).codes) for b in receipt.bead_ids)
     assert stored != 14
     assert json.loads(out)["droplets"] == stored
 

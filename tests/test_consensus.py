@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dnavault.dna_codec import bytes_to_dna, dna_to_bytes, oligo_codes, oligo_strings
 from dnavault.fountain import droplet_to_oligo, encode_droplets, fragment
-from dnavault.synthesis import ErrorModel, Manifest, ReadSet, consensus_reads, sequence_bead, synthesize
+from dnavault.synthesis import ErrorModel, ReadSet, consensus_reads, sequence_bead, synthesize
 
 BASES = "ACGT"
 SEGMENT = 8
@@ -141,8 +141,7 @@ def test_each_row_votes_once_per_read_it_stands_for():
 
 def test_consensus_on_a_sequenced_bead_matches_reference():
     designed = oligos(40, 8)
-    manifest = Manifest(40, SEGMENT, 40 * SEGMENT, len(designed))
-    bead = synthesize(oligo_codes(designed), manifest, ErrorModel(substitution_rate=0.01, rng_seed=2), "ref")
+    bead = synthesize(oligo_codes(designed), ErrorModel(substitution_rate=0.01, rng_seed=2), "ref")
     for coverage in (1, 2, 5):
         read_set = sequence_bead(bead, coverage, ErrorModel(substitution_rate=0.03, rng_seed=9))
         reads = expanded(read_set)

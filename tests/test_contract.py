@@ -170,7 +170,7 @@ def test_integrity_mismatch_on_swapped_content():
         for aid, bid in zip(receipt_a.bead_ids, receipt_b.bead_ids):
             if aid in node.beads:
                 source = beads_b[bid]
-                node.beads[aid] = type(source)(aid, source.codes, source.manifest)
+                node.beads[aid] = type(source)(aid, source.codes)
     with pytest.raises(IntegrityMismatch):
         contract.download_file("alice", receipt_a.file_hash)
 

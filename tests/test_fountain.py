@@ -29,11 +29,9 @@ from dnavault.fountain import (
     frame_crcs,
     oligo_to_droplet,
     plan_droplets,
-    read_oligo_file,
     recoverable_segments,
     screen_oligo,
     split_frames,
-    write_oligo_file,
 )
 from dnavault.rng import Xorshift64Star
 
@@ -390,24 +388,3 @@ def test_screen_gc_window_boundaries():
     assert screen_oligo("ACGT", 4, 0.5, 0.5)  # exactly half GC
     assert not screen_oligo("ACGG", 4, 0.0, 0.5)
     assert screen_oligo("ACGG", 4, 0.75, 1.0)
-
-
-# --- oligo file format --------------------------------------------------------------------
-
-def test_oligo_file_roundtrip(tmp_path):
-    segments, length = fragment(b"persist me please", 8)
-    batch = encode_droplets(segments, 9, rng_seed=31)
-    oligos = [droplet_to_oligo(d) for d in batch.droplets()]
-    path = tmp_path / "oligos.txt"
-    write_oligo_file(path, batch.codes, len(segments), 8, length)
-    text = path.read_text()
-    assert text.splitlines() == [f"#K={len(segments)} SEG=8 LEN={length}", *oligos]
-    back, k, seg, ln = read_oligo_file(path)
-    assert (oligo_strings(back), k, seg, ln) == (oligos, len(segments), 8, length)
-
-
-def test_oligo_file_rejects_missing_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("ACGT\n")
-    with pytest.raises(ValueError):
-        read_oligo_file(path)

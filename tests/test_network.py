@@ -9,13 +9,13 @@ from dnavault.dna_codec import oligo_codes
 from dnavault.errors import BeadUnavailable, InsufficientNodes, UnknownNode
 from dnavault.ledger import CodecParams, FileRecord, Validator, append_block, fold_records, genesis, record_create
 from dnavault.network import Cluster, PlacementPolicy
-from dnavault.synthesis import Bead, Manifest
+from dnavault.synthesis import Bead
 
 VALIDATORS = [Validator("v", 1)]
 
 
 def make_bead(tag: str) -> Bead:
-    return Bead(tag, oligo_codes(["ACGTACGTACGT"]), Manifest(1, 1, 1, 1))
+    return Bead(tag, oligo_codes(["ACGTACGTACGT"]))
 
 
 def make_cluster(n: int) -> Cluster:

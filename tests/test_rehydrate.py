@@ -95,3 +95,24 @@ def test_a_foreign_symbol_in_a_stored_bead_reads_as_a_and_the_file_still_downloa
     holder = receipts[0]["placement"][0][1]
     assert service.cluster.nodes[holder].beads[bead_id].oligos[0][pos] == "A"
     assert service.download("alice", receipts[0]["file_hash"]) == FILES[0]  # the CRC drops the oligo
+
+
+def test_an_upload_writes_one_oligo_file_per_bead(stored):
+    state, receipts = stored
+    for bead_id in (b for r in receipts for b in r["bead_ids"]):
+        assert [path.name for path in (state / "beads" / bead_id).iterdir()] == ["oligos.txt"]
+
+
+def test_a_state_directory_with_bead_manifests_opens_and_downloads(stored):
+    # Earlier versions wrote a manifest.json next to each oligo file. It is never read: give each
+    # one a wrong oligo_count, and every file still downloads byte for byte.
+    state, receipts = stored
+    for bead_dir in (state / "beads").iterdir():
+        header = (bead_dir / "oligos.txt").read_text().split("\n", 1)[0]
+        k, segment_size, length = (int(item.split("=")[1]) for item in header[1:].split())
+        manifest = {"K": k, "segment_size": segment_size, "original_length": length, "oligo_count": 10**6}
+        (bead_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+
+    service = reopen(state)
+    for receipt, data in zip(receipts, FILES):
+        assert service.download("alice", receipt["file_hash"]) == data

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from dnavault.dna_codec import bytes_to_dna, oligo_codes, oligo_strings
 from dnavault.errors import EmptyBead
 from dnavault.fountain import droplet_to_oligo, encode_droplets, fragment
+from dnavault.ledger import CodecParams
 from dnavault.rng import Xorshift64Star, derive_seed, substream
 from dnavault.synthesis import (
     Bead,
     ErrorModel,
-    Manifest,
     ReadSet,
     consensus_reads,
     load_bead,
@@ -29,13 +29,11 @@ def make_oligos(count=12, segment_size=8, seed=0):
     data = random.Random(seed).randbytes(count * segment_size)
     segments, length = fragment(data, segment_size)
     droplets = encode_droplets(segments, count, rng_seed=seed).droplets()
-    oligos = [droplet_to_oligo(d) for d in droplets]
-    manifest = Manifest(len(segments), segment_size, length, len(oligos))
-    return oligos, manifest
+    return [droplet_to_oligo(d) for d in droplets]
 
 
-def synth(oligos, manifest, model, bead_id):
-    return synthesize(oligo_codes(oligos), manifest, model, bead_id)
+def synth(oligos, model, bead_id):
+    return synthesize(oligo_codes(oligos), model, bead_id)
 
 
 def read_strings(read_set):
@@ -66,30 +64,29 @@ def scalar_corrupt(oligo: str, stream_seed: int, rate: float, skip_dropout_draw:
 # --- synthesize -----------------------------------------------------------------
 
 def test_zero_error_synthesis_is_identity():
-    oligos, manifest = make_oligos()
-    bead = synth(oligos, manifest, ErrorModel(), "b0")
+    oligos = make_oligos()
+    bead = synth(oligos, ErrorModel(), "b0")
     assert bead.oligos == oligos
     assert bead.bead_id == "b0"
-    assert bead.manifest == manifest
 
 
 def test_full_dropout_empties_the_bead():
-    oligos, manifest = make_oligos()
-    bead = synth(oligos, manifest, ErrorModel(oligo_dropout_rate=1.0), "b1")
+    oligos = make_oligos()
+    bead = synth(oligos, ErrorModel(oligo_dropout_rate=1.0), "b1")
     assert bead.oligos == []
 
 
 def test_full_substitution_changes_every_base():
-    oligos, manifest = make_oligos(count=5)
-    bead = synth(oligos, manifest, ErrorModel(substitution_rate=1.0), "b2")
+    oligos = make_oligos(count=5)
+    bead = synth(oligos, ErrorModel(substitution_rate=1.0), "b2")
     for original, stored in zip(oligos, bead.oligos):
         assert all(a != b for a, b in zip(original, stored))
 
 
 def test_synthesis_matches_scalar_reference():
-    oligos, manifest = make_oligos(count=7)
+    oligos = make_oligos(count=7)
     model = ErrorModel(substitution_rate=0.25, rng_seed=123)
-    bead = synth(oligos, manifest, model, "ref-bead")
+    bead = synth(oligos, model, "ref-bead")
     base = derive_seed("synthesize", model.rng_seed, "ref-bead")
     expected = [
         scalar_corrupt(o, substream(base, i), model.substitution_rate, skip_dropout_draw=True)
@@ -99,9 +96,9 @@ def test_synthesis_matches_scalar_reference():
 
 
 def test_synthesis_dropout_matches_scalar_reference():
-    oligos, manifest = make_oligos(count=40)
+    oligos = make_oligos(count=40)
     model = ErrorModel(oligo_dropout_rate=0.3, rng_seed=9)
-    bead = synth(oligos, manifest, model, "drop-bead")
+    bead = synth(oligos, model, "drop-bead")
     base = derive_seed("synthesize", model.rng_seed, "drop-bead")
     threshold = int(0.3 * (1 << 64))
     expected = [
@@ -112,19 +109,18 @@ def test_synthesis_dropout_matches_scalar_reference():
 
 
 def test_synthesis_is_deterministic():
-    oligos, manifest = make_oligos(count=20)
+    oligos = make_oligos(count=20)
     model = ErrorModel(0.05, 0.1, rng_seed=77)
-    a = synth(oligos, manifest, model, "same")
-    b = synth(oligos, manifest, model, "same")
+    a = synth(oligos, model, "same")
+    b = synth(oligos, model, "same")
     assert a.oligos == b.oligos
-    c = synth(oligos, manifest, model, "other")
+    c = synth(oligos, model, "other")
     assert a.oligos != c.oligos  # bead identity is part of the seed
 
 
 def test_synthesis_rejects_ragged_oligos():
-    _, manifest = make_oligos()
     with pytest.raises(ValueError):
-        synth(["ACGT", "ACG"], manifest, ErrorModel(), "bad")  # oligo_codes refuses to build the matrix
+        synth(["ACGT", "ACG"], ErrorModel(), "bad")  # oligo_codes refuses to build the matrix
 
 
 def test_error_model_validates_rates():
@@ -137,8 +133,8 @@ def test_error_model_validates_rates():
 # --- sequencing -----------------------------------------------------------------
 
 def test_sequencing_zero_error_repeats_contents():
-    oligos, manifest = make_oligos(count=6)
-    bead = synth(oligos, manifest, ErrorModel(), "s0")
+    oligos = make_oligos(count=6)
+    bead = synth(oligos, ErrorModel(), "s0")
     reads = sequence_bead(bead, 3, ErrorModel())
     assert read_strings(reads) == oligos  # each distinct read once, in bead order
     assert reads.counts.tolist() == [3] * 6
@@ -176,12 +172,12 @@ def collapse(reads):
     repeats=st.integers(0, 2),
 )
 def test_sequenced_rows_are_the_collapsed_reads(seed, count, segment_size, rate, dropout, coverage, repeats):
-    oligos, manifest = make_oligos(count=count, segment_size=segment_size, seed=seed)
+    oligos = make_oligos(count=count, segment_size=segment_size, seed=seed)
     rnd = random.Random(seed)
     for _ in range(repeats):  # a bead may hold equal molecules
         oligos.insert(rnd.randrange(len(oligos) + 1), rnd.choice(oligos))
     model = ErrorModel(rate, dropout, rng_seed=seed % 7)
-    bead = synth(oligos, manifest, model, f"prop-{seed}")
+    bead = synth(oligos, model, f"prop-{seed}")
     if not len(bead.codes):
         return
     lower = []
@@ -195,8 +191,8 @@ def test_sequenced_rows_are_the_collapsed_reads(seed, count, segment_size, rate,
 
 def test_equal_noisy_reads_collapse_onto_their_first():
     # Short oligos at a high rate: two reads that took the same substitutions count as one row.
-    oligos, manifest = make_oligos(count=3, segment_size=1, seed=1)
-    bead = synth(oligos, manifest, ErrorModel(), "twins")
+    oligos = make_oligos(count=3, segment_size=1, seed=1)
+    bead = synth(oligos, ErrorModel(), "twins")
     for rng_seed in range(200):
         model = ErrorModel(0.02, rng_seed=rng_seed)
         rows, counts = collapse(reference_reads(bead, 5, model))
@@ -209,18 +205,18 @@ def test_equal_noisy_reads_collapse_onto_their_first():
 
 
 def test_lower_coverage_reads_are_a_prefix():
-    oligos, manifest = make_oligos(count=10)
+    oligos = make_oligos(count=10)
     model = ErrorModel(substitution_rate=0.02, rng_seed=5)
-    bead = synth(oligos, manifest, model, "prefix")
+    bead = synth(oligos, model, "prefix")
     low = sequence_bead(bead, 2, model)
     high = sequence_bead(bead, 5, model)
     assert read_strings(high)[: len(low.reads)] == read_strings(low)
 
 
 def test_sequencing_matches_scalar_reference():
-    oligos, manifest = make_oligos(count=4)
+    oligos = make_oligos(count=4)
     model = ErrorModel(substitution_rate=0.3, rng_seed=31)
-    bead = synth(oligos, manifest, ErrorModel(), "seq-ref")
+    bead = synth(oligos, ErrorModel(), "seq-ref")
     reads = sequence_bead(bead, 2, model)
     base = derive_seed("sequence", model.rng_seed, "seq-ref")
     for j in range(2):
@@ -233,9 +229,9 @@ def test_sequencing_matches_scalar_reference():
 
 def test_sequencing_empty_bead_raises():
     with pytest.raises(EmptyBead):
-        sequence_bead(Bead("empty", oligo_codes([]), Manifest(1, 8, 8, 0)), 3, ErrorModel())
-    oligos, manifest = make_oligos()
-    bead = synth(oligos, manifest, ErrorModel(), "cov")
+        sequence_bead(Bead("empty", oligo_codes([])), 3, ErrorModel())
+    oligos = make_oligos()
+    bead = synth(oligos, ErrorModel(), "cov")
     with pytest.raises(ValueError):
         sequence_bead(bead, 0, ErrorModel())
 
@@ -248,20 +244,20 @@ def corrupt_base(oligo: str, pos: int) -> str:
 
 
 def test_consensus_of_identical_reads():
-    oligos, _ = make_oligos(count=1)
+    oligos = make_oligos(count=1)
     reads = ReadSet(oligo_codes([oligos[0]] * 3), 3)
     assert consensus(reads, 8) == [oligos[0]]
 
 
 def test_consensus_discards_crc_failing_read():
-    oligos, _ = make_oligos(count=1)
+    oligos = make_oligos(count=1)
     clean = oligos[0]
     corrupted = corrupt_base(clean, 20)  # payload base; CRC now fails
     assert consensus(ReadSet(oligo_codes([clean, clean, corrupted]), 3), 8) == [clean]
 
 
 def test_consensus_votes_when_no_read_is_valid():
-    oligos, _ = make_oligos(count=1)
+    oligos = make_oligos(count=1)
     clean = oligos[0]
     # three reads, each corrupted at a different position: every read fails
     # CRC but the per-position majority recovers the original
@@ -270,23 +266,23 @@ def test_consensus_votes_when_no_read_is_valid():
 
 
 def test_consensus_drops_unrecoverable_groups():
-    oligos, _ = make_oligos(count=1)
+    oligos = make_oligos(count=1)
     hopeless = corrupt_base(oligos[0], 30)
     assert consensus(ReadSet(oligo_codes([hopeless] * 3), 3), 8) == []
 
 
 def test_consensus_end_to_end_recovers_all_oligos():
-    oligos, manifest = make_oligos(count=30, segment_size=8, seed=3)
+    oligos = make_oligos(count=30, segment_size=8, seed=3)
     model = ErrorModel(substitution_rate=0.01, rng_seed=12)
-    bead = synth(oligos, manifest, ErrorModel(), "e2e")
+    bead = synth(oligos, ErrorModel(), "e2e")
     reads = sequence_bead(bead, 5, model)
     assert sorted(consensus(reads, 8)) == sorted(oligos)
 
 
 def test_higher_coverage_recovers_superset():
-    oligos, manifest = make_oligos(count=40, segment_size=8, seed=8)
+    oligos = make_oligos(count=40, segment_size=8, seed=8)
     model = ErrorModel(substitution_rate=0.05, rng_seed=4)
-    bead = synth(oligos, manifest, ErrorModel(), "mono")
+    bead = synth(oligos, ErrorModel(), "mono")
     low = set(consensus(sequence_bead(bead, 1, model), 8))
     high = set(consensus(sequence_bead(bead, 5, model), 8))
     assert low <= high
@@ -294,23 +290,43 @@ def test_higher_coverage_recovers_superset():
 
 def test_consensus_ignores_foreign_framing():
     # The reads of one bead form one matrix, so a foreign length is the whole bead's.
-    oligos, manifest = make_oligos(count=2)
-    foreign = synth(["ACGT" * 3] * 2, manifest, ErrorModel(), "foreign")
+    oligos = make_oligos(count=2)
+    foreign = synth(["ACGT" * 3] * 2, ErrorModel(), "foreign")
     assert consensus_reads(sequence_bead(foreign, 3, ErrorModel()), 8).shape == (0, 16)
-    assert consensus(sequence_bead(synth(oligos, manifest, ErrorModel(), "framed"), 3, ErrorModel()), 8) == oligos
+    assert consensus(sequence_bead(synth(oligos, ErrorModel(), "framed"), 3, ErrorModel()), 8) == oligos
 
 
 # --- persistence -------------------------------------------------------------------
 
+CODEC = CodecParams(4, 8, 32)  # what make_oligos(count=4) encodes
+
+
 def test_bead_save_load_roundtrip(tmp_path):
-    oligos, manifest = make_oligos(count=9)
-    bead = synth(oligos, manifest, ErrorModel(), "disk-bead")
-    save_bead(tmp_path / "beads", bead)
-    assert (tmp_path / "beads" / "disk-bead" / "oligos.txt").exists()
-    assert (tmp_path / "beads" / "disk-bead" / "manifest.json").exists()
-    back = load_bead(tmp_path / "beads", "disk-bead")
-    assert back.oligos == bead.oligos
-    assert back.manifest == manifest
+    segments, length = fragment(b"persist me please", 8)
+    batch = encode_droplets(segments, 9, rng_seed=31)
+    oligos = [droplet_to_oligo(d) for d in batch.droplets()]
+    path = save_bead(tmp_path, Bead("disk-bead", batch.codes), CodecParams(len(segments), 8, length))
+    assert path == tmp_path / "disk-bead" / "oligos.txt"
+    assert path.read_text().splitlines() == [f"#K={len(segments)} SEG=8 LEN={length}", *oligos]
+    back = load_bead(tmp_path, "disk-bead")
+    assert (back.bead_id, back.oligos) == ("disk-bead", oligos)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        pytest.param(b"K=4 SEG=8 LEN=32", "missing oligo file header", id="no-hash"),
+        pytest.param(b"#K=1 SEG", "malformed oligo file header", id="field-without-equals"),
+        pytest.param(b"#K=4 SEG=eight LEN=32", "malformed oligo file header", id="non-integer"),
+        pytest.param(b"#K=4 SEG=8", "malformed oligo file header", id="missing-key"),
+        pytest.param(b"#K=4 SEG=8 LEN=3\xff", "malformed oligo file header", id="non-ascii"),
+    ],
+)
+def test_damaged_header_fails_at_load_naming_the_file(tmp_path, header, message):
+    path = save_bead(tmp_path, synth(make_oligos(count=4), ErrorModel(), "torn"), CODEC)
+    path.write_bytes(header + b"\n" + path.read_bytes().split(b"\n", 1)[1])
+    with pytest.raises(ValueError, match=f"oligos.txt: {message}"):
+        load_bead(tmp_path, "torn")
 
 
 @pytest.mark.parametrize(
@@ -322,8 +338,8 @@ def test_bead_save_load_roundtrip(tmp_path):
     ],
 )
 def test_ragged_oligo_file_fails_at_load_naming_the_file(tmp_path, damage):
-    oligos, manifest = make_oligos(count=4)
-    save_bead(tmp_path / "beads", synth(oligos, manifest, ErrorModel(), "ragged"))
+    oligos = make_oligos(count=4)
+    save_bead(tmp_path / "beads", synth(oligos, ErrorModel(), "ragged"), CODEC)
     path = tmp_path / "beads" / "ragged" / "oligos.txt"
     header, body = path.read_bytes().split(b"\n", 1)
     path.write_bytes(header + b"\n" + damage(body))
@@ -332,7 +348,7 @@ def test_ragged_oligo_file_fails_at_load_naming_the_file(tmp_path, damage):
 
 
 def test_an_emptied_bead_saves_and_loads_as_an_empty_matrix(tmp_path):
-    oligos, manifest = make_oligos(count=4)
-    save_bead(tmp_path / "beads", synth(oligos, manifest, ErrorModel(oligo_dropout_rate=1.0), "gone"))
+    oligos = make_oligos(count=4)
+    save_bead(tmp_path / "beads", synth(oligos, ErrorModel(oligo_dropout_rate=1.0), "gone"), CODEC)
     assert (tmp_path / "beads" / "gone" / "oligos.txt").read_text().count("\n") == 1
     assert load_bead(tmp_path / "beads", "gone").codes.shape[0] == 0
