@@ -33,7 +33,9 @@ from dnavault.fountain import (
     screen_oligo,
     split_frames,
 )
+from dnavault.ledger import CodecParams
 from dnavault.rng import Xorshift64Star
+from dnavault.synthesis import Bead, load_bead, save_bead
 
 
 def oracle_crc32(data: bytes) -> int:
@@ -350,6 +352,20 @@ def test_oligo_roundtrip_including_degree():
     for droplet in encode_droplets(segments, 30, rng_seed=21).droplets():
         back = oligo_to_droplet(droplet_to_oligo(droplet), 8, k, dist)
         assert back == droplet
+
+
+def test_oligo_file_roundtrip(tmp_path):
+    # A bead's oligo file holds one framed droplet a line; read back, they decode.
+    data = b"persist me please"
+    segments, length = fragment(data, 8)
+    batch = encode_droplets(segments, 9, rng_seed=31)
+    droplets = batch.droplets()
+    path = save_bead(tmp_path, Bead("disk-bead", batch.codes), CodecParams(len(segments), 8, length))
+    oligos = [droplet_to_oligo(d) for d in droplets]
+    assert path.read_text().splitlines() == [f"#K={len(segments)} SEG=8 LEN={length}", *oligos]
+    back = [oligo_to_droplet(oligo, 8, len(segments)) for oligo in load_bead(tmp_path, "disk-bead").oligos]
+    assert back == droplets
+    assert decode_droplets(back, len(segments), length) == data
 
 
 def test_oligo_substitution_detected():
