@@ -7,6 +7,10 @@ after a restart::
     <state>/chain.jsonl   the persisted ledger, one canonical block per line
     <state>/beads/        bead content: beads/<id>/oligos.txt, one per bead
 
+This module reads and writes ``config.json``. ``chain.jsonl`` and ``beads/``
+belong to ``StorageContract``, which opens them whenever it is given the
+directory: from the library, the service and the CLI alike.
+
 The directory is chosen by, in priority order: an explicit CLI/API value,
 the ETRUS_STATE_DIR environment variable, then ``./state``.
 """

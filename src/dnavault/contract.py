@@ -22,15 +22,17 @@ base-code matrices and frames stay byte rows from encode to decode.
 
 The engine holds a ``Ledger``: uploads, downloads and permission changes
 read its current records and append one block checked against them, so no
-operation replays the chain. When constructed with a state directory the
-engine persists the chain (append-only ``chain.jsonl``) and bead contents as
-they are created, so a restarted process can rebuild the exact same state.
+operation replays the chain. Given a state directory, the engine opens it
+(chain and persisted beads) and persists the chain (append-only
+``chain.jsonl``) and bead contents as they are created, so any later engine
+on that directory rebuilds the exact same state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -55,7 +57,6 @@ from .fountain import (
     DEFAULT_SCREEN,
     OLIGO_HEADER_BYTES,
     DropletBatch,
-    OligoScreen,
     decode,
     encode_droplets,
     fragment,
@@ -65,7 +66,7 @@ from .fountain import (
 from .ledger import Block, CodecParams, FileRecord, Ledger, Validator, save_chain
 from .network import Cluster, PlacementPolicy
 from .rng import derive_seed
-from .synthesis import ErrorModel, consensus_reads, save_bead, sequence_bead, synthesize
+from .synthesis import ErrorModel, consensus_reads, load_bead, save_bead, sequence_bead, synthesize
 
 
 def field_values(obj, skip: tuple[str, ...] = ()) -> dict:
@@ -78,8 +79,8 @@ def known_fields(cls, raw: dict, skip: tuple[str, ...] = ()) -> dict:
     return {f.name: raw[f.name] for f in fields(cls) if f.name in raw and f.name not in skip}
 
 
-# A key belongs to one upload, and the screen is code, not configuration.
-_UNPERSISTED = ("key", "screen")
+# A key belongs to one upload.
+_UNPERSISTED = ("key",)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,6 @@ class StoreParams:
     error_model: ErrorModel = field(default_factory=ErrorModel)
     coverage: int = 5
     key: str | None = None
-    screen: OligoScreen | None = DEFAULT_SCREEN
 
     def __post_init__(self):
         if self.segment_size < 1 or self.beads_per_file < 1 or self.replication < 1 or self.coverage < 1:
@@ -102,7 +102,7 @@ class StoreParams:
             raise ValueError("droplet overhead factor must be at least 1")
 
     def to_dict(self) -> dict:
-        """Every field but the unpersisted ``key`` and ``screen``."""
+        """Every field but the unpersisted ``key``."""
         return {**field_values(self, _UNPERSISTED), "error_model": field_values(self.error_model)}
 
     @classmethod
@@ -138,22 +138,37 @@ class StorageContract:
         cluster: Cluster,
         validators: list[Validator],
         defaults: StoreParams | None = None,
-        ledger: Ledger | None = None,
         state_dir: Path | str | None = None,
         clock: Callable[[], float] = time.time,
     ):
-        """``ledger`` is taken as verified (as ``read_ledger`` leaves it) and not checked again."""
+        """Open ``state_dir`` if given: load its ``chain.jsonl`` and install its beads, or write genesis."""
         self.cluster = cluster
         self.validators = validators
         self.defaults = defaults or StoreParams()
-        self.ledger = ledger if ledger is not None else Ledger()
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.clock = clock
-        if self.state_dir is not None:
-            self.state_dir.mkdir(parents=True, exist_ok=True)
-            chain_path = self.state_dir / "chain.jsonl"
-            if not chain_path.exists():
+        chain_path = self.state_dir / "chain.jsonl" if self.state_dir is not None else None
+        if chain_path is not None and chain_path.exists():
+            self.ledger = ledger.read_ledger(chain_path)
+            self._rehydrate_beads()
+        else:
+            self.ledger = Ledger()
+            if chain_path is not None:
+                self.state_dir.mkdir(parents=True, exist_ok=True)
                 save_chain(chain_path, self.chain)
+
+    def _rehydrate_beads(self) -> None:
+        """Install persisted beads per the ledger's placement map, each header checked against its record."""
+        beads_dir = self.state_dir / "beads"
+        present = set(os.listdir(beads_dir)) if beads_dir.is_dir() else set()
+        loaded = {}
+        for record in self.ledger.records.values():
+            for bead_id, node_id in record.bead_locations:
+                # skip a bead never written, and a replica whose node left the topology since upload
+                if bead_id in present and node_id in self.cluster.nodes:
+                    if bead_id not in loaded:
+                        loaded[bead_id] = load_bead(beads_dir, bead_id, record.codec_params)
+                    self.cluster.install_bead(node_id, loaded[bead_id])
 
     @property
     def chain(self) -> list[Block]:
@@ -171,7 +186,7 @@ class StorageContract:
     _ENCODE_SEEDS = 4
     _ENCODE_BOOSTS = (1.0, 1.15, 1.3)
 
-    def _encode_decodable(self, segments, count, file_hash, params) -> DropletBatch:
+    def _encode_decodable(self, segments, count, file_hash) -> DropletBatch:
         """Encode droplets whose index sets provably peel under zero noise.
 
         Peeling can stall for an unlucky seed at small K even above the
@@ -189,7 +204,7 @@ class StorageContract:
             for boost in self._ENCODE_BOOSTS:
                 boosted = math.ceil(count * boost)
                 try:
-                    batch = encode_droplets(segments, boosted, seed, screen=params.screen)
+                    batch = encode_droplets(segments, boosted, seed, screen=DEFAULT_SCREEN)
                 except ScreenStarvation:
                     batch = encode_droplets(segments, boosted, seed, screen=None)
                 recovered = recoverable_segments(batch.offsets, batch.indices, k)
@@ -215,7 +230,7 @@ class StorageContract:
         segments, original_length = fragment(payload, params.segment_size)
         k = len(segments)
         count = max(k, math.ceil(k * params.overhead))
-        codes = self._encode_decodable(segments, count, file_hash, params).codes
+        codes = self._encode_decodable(segments, count, file_hash).codes
 
         # Round-robin assignment; tiny files get fewer beads rather than empty ones.
         n_beads = min(params.beads_per_file, len(codes))

@@ -25,17 +25,14 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from . import ledger
 from .config import ServiceConfig
 from .contract import StorageContract
 from .errors import BadRequest, EmptyInput, NotFound, StorageError
 from .network import Cluster
-from .synthesis import load_bead
 
 log = logging.getLogger(__name__)
 
@@ -45,30 +42,13 @@ class StorageService:
     def __init__(self, config: ServiceConfig):
         self.config = config
         self.cluster = Cluster.from_topology(config.topology)
-        chain_path = config.state_dir / "chain.jsonl"
-        loaded = ledger.read_ledger(chain_path) if chain_path.exists() else None
         self.contract = StorageContract(
             cluster=self.cluster,
             validators=config.validator_objects(),
             defaults=config.store,
-            ledger=loaded,
             state_dir=config.state_dir,
         )
         self._write_lock = threading.Lock()
-        self._rehydrate_beads()
-
-    def _rehydrate_beads(self) -> None:
-        """Re-install persisted bead content per the ledger's placement map; ``beads/`` is listed once."""
-        beads_dir = self.config.state_dir / "beads"
-        present = set(os.listdir(beads_dir)) if beads_dir.is_dir() else set()
-        loaded = {}
-        for record in self.contract.ledger.records.values():
-            for bead_id, node_id in record.bead_locations:
-                # skip a bead never written, and a replica whose node left the topology since upload
-                if bead_id in present and node_id in self.cluster.nodes:
-                    if bead_id not in loaded:
-                        loaded[bead_id] = load_bead(beads_dir, bead_id)
-                    self.cluster.install_bead(node_id, loaded[bead_id])
 
     # --- operations (raise StorageError subclasses on failure) ---
 

@@ -25,11 +25,12 @@ Indels are out of scope; framing stays fixed-length so the consensus step
 can vote position by position. Beads hold ``(n, L)`` matrices of base
 codes. The channel records where substitutions hit instead of writing them
 into copies, so sequencing builds only the reads that took one. A
-:class:`ReadSet` row is one distinct read, and its count is how many reads
-carry it: each stored oligo with a clean read is one row, and at a low rate
-most reads are such copies. Consensus counts each row once per read and
-hands back packed frame bytes: strings appear only in ``Bead.oligos`` and in
-the bead files on disk.
+:class:`ReadSet` row stands for a count of equal reads: each stored oligo
+with a clean read is one row, and at a low rate most reads are such copies;
+each read that took a hit is a row of its own. Rows need not be distinct,
+since equal rows agree and their votes add up the same. Consensus counts
+each row once per read and hands back packed frame bytes: strings appear
+only in ``Bead.oligos`` and in the bead files on disk.
 
 A bead is its oligos and nothing else: what a reader needs to decode them
 (K, segment size, length) is the ledger record's :class:`CodecParams`,
@@ -49,7 +50,7 @@ from .dna_codec import CHAR_OF_CODE, CODE_OF_CHAR, codes_to_bytes, oligo_strings
 from .errors import EmptyBead
 from .fountain import OLIGO_HEADER_BYTES, frame_crcs, split_frames
 from .ledger import CodecParams
-from .rng import GOLDEN, derive_seed, seed_states, step_states, substream_array
+from .rng import derive_seed, seed_states, step_states, substream_array
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,15 @@ class Bead:
 
 @dataclass(eq=False)
 class ReadSet:
-    """The reads of one bead, each distinct read once.
+    """The reads of one bead, as rows with counts.
 
     ``reads`` is an ``(m, L)`` base-code matrix. Row ``i`` is a read's
-    content, and ``counts[i]`` is how many reads carry it. From
-    :func:`sequence_bead` the rows are distinct and come in the order of their
-    first read, round-major, so a lower coverage's rows are a prefix of a
-    higher one's. A hand-built set may leave ``counts`` as None: each row then
-    stands for one read, and equal rows may repeat.
+    content, and ``counts[i]`` is how many reads it stands for. From
+    :func:`sequence_bead` a row is a stored oligo standing for its clean
+    reads, or one read that took a hit; rows come in the order of their first
+    read, round-major, so a lower coverage's rows are a prefix of a higher
+    one's. Equal rows may repeat. A hand-built set may leave ``counts`` as
+    None: each row then stands for one read.
     """
 
     reads: np.ndarray
@@ -140,7 +142,7 @@ def synthesize(codes: np.ndarray, model: ErrorModel, bead_id: str) -> Bead:
 
 
 def sequence_bead(bead: Bead, coverage: int, model: ErrorModel) -> ReadSet:
-    """Sequence ``coverage`` noisy reads of every stored oligo, each distinct read once with its count.
+    """Sequence ``coverage`` noisy reads of every stored oligo, as rows with counts.
 
     Read ``j * n + i`` is read ``j`` of stored row ``i``; without a
     substitution it is that row, so only the reads that took one are built.
@@ -158,8 +160,7 @@ def sequence_bead(bead: Bead, coverage: int, model: ErrorModel) -> ReadSet:
     read_seeds = substream_array(oligo_seeds[None, :], np.arange(coverage)[:, None])
     reads, positions, shifts = _substitute(seed_states(read_seeds.reshape(-1)), length, model.substitution_rate)
     if not len(reads):  # no read took a hit, as at zero noise: each stored row stands for all its reads
-        rows, counts = _distinct(bead.codes.copy(), np.full(n, coverage))
-        return ReadSet(rows, coverage, counts)
+        return ReadSet(bead.codes.copy(), coverage, np.full(n, coverage))
 
     # Row c < n is stored row c, standing for its reads without a hit; row n + h is the h-th read with
     # a hit, in read order. Each row comes in at its first read.
@@ -176,33 +177,7 @@ def sequence_bead(bead: Bead, coverage: int, model: ErrorModel) -> ReadSet:
     at[order] = np.arange(len(order))
     target = at[first[reads]]  # where each hit's read landed
     rows[target, positions] = (rows[target, positions] + shifts) % 4
-    rows, counts = _distinct(rows, counts[order])
-    return ReadSet(rows, coverage, counts)
-
-
-def _distinct(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equal rows collapsed onto the first of them, their counts added.
-
-    A 64-bit hash of each row (its bytes as little-endian words times odd
-    multipliers) finds the rows to compare whole: those whose hash repeats.
-    """
-    length = rows.shape[1]
-    words = np.zeros((len(rows), -(-length // 8) * 8), dtype=np.uint8)
-    words[:, :length] = rows
-    words = words.view("<u8")
-    keys = words @ (np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(GOLDEN) | np.uint64(1))
-    ranked = np.sort(keys)
-    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
-    if not len(repeated):
-        return rows, counts
-    shared = np.flatnonzero(np.isin(keys, repeated))
-    _, earliest, equal = np.unique(rows[shared], axis=0, return_index=True, return_inverse=True)
-    onto = shared[earliest[equal]]  # the first row equal to each shared row
-    dropped = onto != shared
-    np.add.at(counts, onto[dropped], counts[shared[dropped]])
-    keep = np.ones(len(rows), dtype=bool)
-    keep[shared[dropped]] = False
-    return rows[keep], counts[keep]
+    return ReadSet(rows, coverage, counts[order])
 
 
 def consensus_reads(read_set: ReadSet, segment_size: int) -> np.ndarray:
@@ -267,21 +242,25 @@ def consensus_reads(read_set: ReadSet, segment_size: int) -> np.ndarray:
 _HEADER = re.compile(rb"#K=\d+ SEG=\d+ LEN=\d+")
 
 
+def _header(codec: CodecParams) -> bytes:
+    return f"#K={codec.k} SEG={codec.segment_size} LEN={codec.original_length}".encode("ascii")
+
+
 def save_bead(beads_dir: Path | str, bead: Bead, codec: CodecParams) -> Path:
     """Write the bead's oligos under the header of ``codec``; returns the file's path."""
     path = Path(beads_dir) / bead.bead_id / "oligos.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = np.empty((len(bead.codes), bead.codes.shape[1] + 1), dtype=np.uint8)
     lines[:, :-1], lines[:, -1] = bead.codes, 4  # code 4 renders as the line end
-    header = f"#K={codec.k} SEG={codec.segment_size} LEN={codec.original_length}\n".encode("ascii")
-    path.write_bytes(header + lines.tobytes().translate(CHAR_OF_CODE))
+    path.write_bytes(_header(codec) + b"\n" + lines.tobytes().translate(CHAR_OF_CODE))
     return path
 
 
-def load_bead(beads_dir: Path | str, bead_id: str) -> Bead:
+def load_bead(beads_dir: Path | str, bead_id: str, codec: CodecParams | None = None) -> Bead:
     """The bead written by :func:`save_bead`; its lines, all non-blank and of one length, as codes.
 
-    A damaged file raises ValueError naming it.
+    A damaged file, or a header other than that of ``codec`` when one is
+    given, raises ValueError naming it.
     """
     path = Path(beads_dir) / bead_id / "oligos.txt"
     header, _, body = path.read_bytes().partition(b"\n")
@@ -289,6 +268,8 @@ def load_bead(beads_dir: Path | str, bead_id: str) -> Bead:
         raise ValueError(f"{path}: missing oligo file header")
     if not _HEADER.fullmatch(header):
         raise ValueError(f"{path}: malformed oligo file header")
+    if codec is not None and header != _header(codec):
+        raise ValueError(f"{path}: header {header.decode()} does not match the record's {_header(codec).decode()}")
     lines = np.frombuffer(body.translate(CODE_OF_CHAR), dtype=np.uint8)
     width = body.find(b"\n") + 1  # the first line with its line end
     rows = lines.reshape(-1, width) if width > 1 and len(lines) % width == 0 else lines[:, None]

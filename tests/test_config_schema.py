@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from dnavault.config import ServiceConfig, default_topology, default_validators
 from dnavault.contract import StoreParams
-from dnavault.fountain import DEFAULT_SCREEN
 from dnavault.synthesis import ErrorModel
 
 DEFAULT_CONFIG_SHA256 = "f23f5d3865304483897d1b6de79c08562fd7403a7f7693d4d9306b81df4f9dd5"
@@ -23,7 +22,6 @@ store_params = st.builds(
     error_model=st.builds(ErrorModel, rates, rates, st.integers(0, 2**64 - 1)),
     coverage=st.integers(1, 100),
     key=st.none() | st.text("ACGT", min_size=1, max_size=8),
-    screen=st.sampled_from([None, DEFAULT_SCREEN]),
 )
 
 
@@ -33,9 +31,9 @@ def test_a_new_state_directory_gets_the_default_config_bytes(tmp_path):
 
 
 @given(store_params)
-def test_store_params_round_trip_through_json_without_key_or_screen(params):
+def test_store_params_round_trip_through_json_without_key(params):
     raw = json.loads(json.dumps(params.to_dict()))
-    assert StoreParams.from_dict(raw) == replace(params, key=None, screen=DEFAULT_SCREEN)
+    assert StoreParams.from_dict(raw) == replace(params, key=None)
 
 
 def test_missing_store_keys_take_the_defaults_and_unknown_keys_are_ignored():

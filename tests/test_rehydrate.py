@@ -1,4 +1,4 @@
-"""Reopening a state directory: which persisted beads come back, and onto which nodes."""
+"""Reopening a state directory: which persisted beads come back, onto which nodes, and how the chain goes on."""
 
 import json
 import random
@@ -6,9 +6,13 @@ import shutil
 
 import pytest
 
-from dnavault import service as service_module
+from dnavault import contract as contract_module
+from dnavault.cli import EXIT_USAGE, main
 from dnavault.config import ServiceConfig
+from dnavault.contract import StorageContract
 from dnavault.errors import BeadUnavailable
+from dnavault.ledger import Validator, verify_chain_file
+from dnavault.network import Cluster
 from dnavault.service import StorageService
 
 FILES = [random.Random(i).randbytes(600) for i in range(3)]
@@ -60,13 +64,13 @@ def test_a_node_missing_from_the_topology_is_skipped(stored):
 def test_each_bead_on_disk_is_loaded_once_and_installed_on_every_listed_node(stored, monkeypatch):
     state, receipts = stored
     loads = []
-    original = service_module.load_bead
+    original = contract_module.load_bead
 
-    def counted(beads_dir, bead_id):
+    def counted(beads_dir, bead_id, codec):
         loads.append(bead_id)
-        return original(beads_dir, bead_id)
+        return original(beads_dir, bead_id, codec)
 
-    monkeypatch.setattr(service_module, "load_bead", counted)
+    monkeypatch.setattr(contract_module, "load_bead", counted)
     service = reopen(state)
 
     on_disk = sorted(path.name for path in (state / "beads").iterdir())
@@ -116,3 +120,33 @@ def test_a_state_directory_with_bead_manifests_opens_and_downloads(stored):
     service = reopen(state)
     for receipt, data in zip(receipts, FILES):
         assert service.download("alice", receipt["file_hash"]) == data
+
+
+def test_a_bead_header_that_differs_from_its_record_fails_the_open(stored, capsys):
+    state, receipts = stored
+    bead_id = receipts[2]["bead_ids"][1]
+    path = state / "beads" / bead_id / "oligos.txt"
+    header, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(b"#K=999 SEG=1 LEN=5\n" + rest)
+
+    with pytest.raises(ValueError, match="does not match") as caught:
+        reopen(state)
+    for part in (str(path), "#K=999 SEG=1 LEN=5", header.decode()):
+        assert part in str(caught.value)
+    assert main(["--state", str(state), "chain", "show"]) == EXIT_USAGE
+    assert "#K=999 SEG=1 LEN=5" in capsys.readouterr().err
+
+
+def test_a_second_contract_on_a_state_directory_continues_its_chain(tmp_path):
+    def contract():
+        cluster = Cluster([f"node-{i:02d}" for i in range(6)])
+        return StorageContract(cluster, [Validator("v", 1)], state_dir=tmp_path)
+
+    first = contract()
+    receipt = first.upload_file("alice", FILES[0])
+    second = contract()
+    assert second.chain[-1].block_hash == first.chain[-1].block_hash
+    assert second.download_file("alice", receipt.file_hash) == FILES[0]
+    assert second.upload_file("alice", FILES[1]).block_index == 2
+    assert verify_chain_file(tmp_path / "chain.jsonl") == (True, None)
+    assert contract().download_file("alice", receipt.file_hash) == FILES[0]

@@ -136,7 +136,7 @@ def test_sequencing_zero_error_repeats_contents():
     oligos = make_oligos(count=6)
     bead = synth(oligos, ErrorModel(), "s0")
     reads = sequence_bead(bead, 3, ErrorModel())
-    assert read_strings(reads) == oligos  # each distinct read once, in bead order
+    assert read_strings(reads) == oligos  # each stored oligo once, standing for its reads, in bead order
     assert reads.counts.tolist() == [3] * 6
     single = sequence_bead(bead, 1, ErrorModel())
     assert read_strings(single) == oligos  # coverage 1, round-major => bead order
@@ -153,12 +153,20 @@ def reference_reads(bead, coverage, model):
     ]
 
 
-def collapse(reads):
-    """Distinct reads in order of first appearance, and how many reads each stands for."""
-    counts = {}
-    for read in reads:
-        counts[read] = counts.get(read, 0) + 1
-    return list(counts), list(counts.values())
+def reference_rows(bead, coverage, model):
+    """Rows in order of first read, with counts: a stored oligo for its clean reads, and each read with a hit."""
+    rows, counts, row_of = [], [], {}
+    n = len(bead.oligos)
+    for r, read in enumerate(reference_reads(bead, coverage, model)):
+        oligo = r % n
+        if read == bead.oligos[oligo]:  # a substitution always changes the base, so a hit read differs
+            if oligo in row_of:
+                counts[row_of[oligo]] += 1
+                continue
+            row_of[oligo] = len(rows)
+        rows.append(read)
+        counts.append(1)
+    return rows, counts
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,7 +179,7 @@ def collapse(reads):
     coverage=st.integers(1, 5),
     repeats=st.integers(0, 2),
 )
-def test_sequenced_rows_are_the_collapsed_reads(seed, count, segment_size, rate, dropout, coverage, repeats):
+def test_sequenced_rows_expanded_by_counts_are_the_reads(seed, count, segment_size, rate, dropout, coverage, repeats):
     oligos = make_oligos(count=count, segment_size=segment_size, seed=seed)
     rnd = random.Random(seed)
     for _ in range(repeats):  # a bead may hold equal molecules
@@ -183,25 +191,12 @@ def test_sequenced_rows_are_the_collapsed_reads(seed, count, segment_size, rate,
     lower = []
     for cov in range(1, coverage + 1):
         reads = sequence_bead(bead, cov, model)
-        rows, counts = collapse(reference_reads(bead, cov, model))
-        assert (read_strings(reads), reads.counts.tolist(), reads.coverage) == (rows, counts, cov)
+        rows, counts = read_strings(reads), reads.counts.tolist()
+        expanded = [row for row, c in zip(rows, counts) for _ in range(c)]
+        assert sorted(expanded) == sorted(reference_reads(bead, cov, model))
+        assert (rows, counts, reads.coverage) == (*reference_rows(bead, cov, model), cov)
         assert rows[: len(lower)] == lower  # a lower coverage's rows are a prefix
         lower = rows
-
-
-def test_equal_noisy_reads_collapse_onto_their_first():
-    # Short oligos at a high rate: two reads that took the same substitutions count as one row.
-    oligos = make_oligos(count=3, segment_size=1, seed=1)
-    bead = synth(oligos, ErrorModel(), "twins")
-    for rng_seed in range(200):
-        model = ErrorModel(0.02, rng_seed=rng_seed)
-        rows, counts = collapse(reference_reads(bead, 5, model))
-        if any(count > 1 for row, count in zip(rows, counts) if row not in oligos):
-            break
-    else:
-        pytest.fail("no seed gave two equal noisy reads")
-    reads = sequence_bead(bead, 5, model)
-    assert (read_strings(reads), reads.counts.tolist()) == (rows, counts)
 
 
 def test_lower_coverage_reads_are_a_prefix():
