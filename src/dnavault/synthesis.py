@@ -13,13 +13,22 @@ Randomness contract (what a re-implementation must reproduce): with
 ``substream(base, oligo_index)`` (label ``"synthesize"``) or per-read seed
 ``substream(substream(base, oligo_index), read_index)`` (label
 ``"sequence"``), each stream is an xorshift64* generator whose draws are
-consumed in order: for synthesis one dropout draw first, then one draw per
-base; for a read, one draw per base. A base substitutes when the draw u
-satisfies ``u < floor(rate * 2**64)`` (rate >= 1 always substitutes), and
-the replacement is ``(original + 1 + ((u >> 32) % 3)) % 4`` so it always
-differs from the original. Reads are emitted round-major: every stored
-oligo once at read index 0, then all again at index 1, so a lower coverage
-is a prefix of a higher one.
+consumed in order. Synthesis takes one dropout draw first; an oligo is
+dropped when it satisfies ``u < floor(rate * 2**64)`` (rate >= 1 always
+drops). Substitutions then hit by gaps, not base by base: a draw u gives
+the gap to the next hit as the number of entries of
+:func:`gap_table` ``t_g = floor((1 - rate)**g * 2**64)``, g = 1..L, that
+lie above u, so the gap is g or more with odds ``(1 - rate)**g``. The hit
+lands that many bases on from the current one; a gap that runs past the
+end of the row means no further hit in it. The next draw picks the
+replacement, ``(original + 1 + ((u >> 32) % 3)) % 4``, which always
+differs from the original, and the draw after that starts the next gap,
+from the base after the hit. At rate 1 the table is all zeros and every
+base hits. At substitution rate 0 no stream is seeded or stepped for
+substitutions: synthesis takes only the dropout draw, and only when the
+dropout rate is above 0, and every read is its stored oligo. Reads are
+emitted round-major: every stored oligo once at read index 0, then all
+again at index 1, so a lower coverage is a prefix of a higher one.
 
 Indels are out of scope; framing stays fixed-length so the consensus step
 can vote position by position. Beads hold ``(n, L)`` matrices of base
@@ -42,6 +51,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -104,24 +115,43 @@ def _hits(u: np.ndarray, rate: float) -> np.ndarray:
     return u < np.uint64(int(rate * (1 << 64)))
 
 
+@lru_cache(maxsize=32)
+def gap_table(rate: float, length: int) -> np.ndarray:
+    """``t_g = floor((1 - rate)**g * 2**64)`` for g = 1..length, descending, for 0 < rate <= 1.
+
+    Built in exact integer arithmetic, so it is the same on every machine.
+    A draw u gives the gap to a stream's next hit as the number of entries
+    above u: the gap is g or more exactly when ``u < t_g``. The array is
+    shared by every caller and read-only.
+    """
+    keep, whole = (1 - Fraction(rate)).as_integer_ratio()
+    table = np.array([(keep**g << 64) // whole**g for g in range(1, length + 1)], dtype=np.uint64)
+    table.flags.writeable = False
+    return table
+
+
 def _substitute(states: np.ndarray, length: int, rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step every stream once per base of a ``length``-base row; returns the hits ``(rows, positions, shifts)``.
+    """Draw each stream's hits on a ``length``-base row, gap by gap; returns the hits ``(rows, positions, shifts)``.
 
     Base ``positions[h]`` of row ``rows[h]`` becomes ``(code + shifts[h]) % 4``.
-    Hits come position by position, rows ascending within a position, and no
-    ``(row, position)`` pair repeats.
+    A stream draws the gap to its next hit, then the hit's replacement, then
+    its next gap, until a gap runs past the end of its row, so it takes about
+    1 + 2 * hits draws; each round steps only the streams still live. Hits
+    come round by round, rows ascending within a round, and no ``(row,
+    position)`` pair repeats. At rate 0 nothing hits and no stream is stepped.
     """
-    rows, draws = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint64)]
-    for _ in range(length):
-        u = step_states(states)
-        if rate <= 0.0:
-            continue  # nothing substitutes, but the draw is still taken, as the randomness contract says
-        hit = np.flatnonzero(_hits(u, rate))
-        rows.append(hit)
-        draws.append(u[hit])
-    positions = np.arange(len(rows) - 1).repeat([len(r) for r in rows[1:]])
-    shifts = ((np.concatenate(draws) >> np.uint64(32)) % np.uint64(3) + np.uint64(1)).astype(np.uint8)
-    return np.concatenate(rows), positions, shifts
+    found = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64))]
+    if rate > 0.0:
+        ascending = gap_table(rate, length)[::-1].copy()
+        rows, at = np.arange(len(states)), np.zeros(len(states), dtype=np.int64)
+        while len(rows):
+            at += length - np.searchsorted(ascending, step_states(states), side="right")  # the gap: entries above u
+            live = at < length
+            rows, at, states = rows[live], at[live], states[live]
+            found.append((rows, at, step_states(states)))  # the replacement draw
+            at = at + 1  # the next gap starts after the hit; ``at`` itself is kept in ``found``
+    rows, positions, draws = (np.concatenate(parts) for parts in zip(*found))
+    return rows, positions, ((draws >> np.uint64(32)) % np.uint64(3) + np.uint64(1)).astype(np.uint8)
 
 
 def synthesize(codes: np.ndarray, model: ErrorModel, bead_id: str) -> Bead:
@@ -131,9 +161,11 @@ def synthesize(codes: np.ndarray, model: ErrorModel, bead_id: str) -> Bead:
     The designed matrix is not changed. Deterministic for a fixed
     (model.rng_seed, bead_id).
     """
+    if model.substitution_rate <= 0.0 and model.oligo_dropout_rate <= 0.0:
+        return Bead(bead_id, codes.copy())  # nothing can drop or substitute, so no stream is seeded
     base = derive_seed("synthesize", model.rng_seed, bead_id)
     states = seed_states(substream_array(base, np.arange(len(codes))))
-    kept = ~_hits(step_states(states), model.oligo_dropout_rate)  # dropout draw, consumed even at rate 0
+    kept = ~_hits(step_states(states), model.oligo_dropout_rate)  # the dropout draw comes first in every stream
     # Each row's draws come from its own stream, so a dropped row's draws need not be taken.
     stored = codes[kept]
     rows, positions, shifts = _substitute(states[kept], codes.shape[1], model.substitution_rate)
@@ -153,14 +185,14 @@ def sequence_bead(bead: Bead, coverage: int, model: ErrorModel) -> ReadSet:
     n, length = bead.codes.shape
     if not n:
         raise EmptyBead(f"bead {bead.bead_id} holds no oligos")
+    if model.substitution_rate <= 0.0:  # every read is its stored row: no stream is seeded
+        return ReadSet(bead.codes.copy(), coverage, np.full(n, coverage))
 
     base = derive_seed("sequence", model.rng_seed, bead.bead_id)
     oligo_seeds = substream_array(base, np.arange(n))
     # (coverage, n) grid of per-read stream seeds: row j holds read j of every oligo.
     read_seeds = substream_array(oligo_seeds[None, :], np.arange(coverage)[:, None])
     reads, positions, shifts = _substitute(seed_states(read_seeds.reshape(-1)), length, model.substitution_rate)
-    if not len(reads):  # no read took a hit, as at zero noise: each stored row stands for all its reads
-        return ReadSet(bead.codes.copy(), coverage, np.full(n, coverage))
 
     # Row c < n is stored row c, standing for its reads without a hit; row n + h is the h-th read with
     # a hit, in read order. Each row comes in at its first read.

@@ -5,8 +5,8 @@ synthesis channel, the receipt, the chain tip) and what a download then
 reads back, so any change to droplet planning, the oligo screen, the peel
 check, the encode ladder, consensus or decode that alters a single byte
 fails here. The 16 B and 40 B files starve the screen and take the
-unscreened fallback; the 1 KiB file uploads but fails to decode under the
-channel, with a pinned recovered count.
+unscreened fallback; the 1 KiB and 4 KiB files upload but fail to decode
+under the channel, each with a pinned recovered count.
 """
 
 import hashlib
@@ -40,7 +40,7 @@ GOLDEN = {
     "16B": (
         "6bc27c3d18248237c85e66697a14f72c78421877c89bdada1a335fd55b98d64c",
         [
-            "cbace7e185157910e2b439663739d85fc46579feca2b80c50b2a1c6ab49c8311",
+            "67b64d1da46a7d6d7a8c209e1da742c409f339524e309b152c4c493ae48ab2e9",
             "6c0f0f3ca518ae280947723785962abf29555a0c637cdc2d28e4d0f20c5cd20f",
         ],
         "ok",
@@ -58,30 +58,30 @@ GOLDEN = {
     "1KiB": (
         "f9cbe45490556bf1829ed18a0d3baa909aceffeea8c3822419d9c70e27920995",
         [
-            "4577767344b809610c0f45181f8fb0cc56733b282c460886229edb8fc4bd1053",
-            "b4ba4bedf8350819afa5e9f00a004990592e5b29028d92e143bd28e3e9008857",
-            "cf7869e4a85e7cb9ec21e29e39c3c4dec9472817740c91c2239f17ecd9b4e6fe",
-            "950370f2c4e2e6e99cbcdee804459b440acd8f2f15e682182848fd9908d2d799",
+            "f4d915a8a4f3ca53402a7d60ab06b93c273560e6a4b1a53997acc10a2bf5dbff",
+            "1d40be2b37dd28dabf0b4201c38a855089a3956c4689465ed29cc39d6d721f2d",
+            "ee3ec477741f987bcceb587c35ee80d0a17a714e56eda54a181f359aba033a07",
+            "b165d1137b9a6a55affa8a1a2ffd5eab190083a8dc1033f74fa3b0b6ea5bf2ff",
         ],
         "DecodeFailed 3/32",
     ),
     "4KiB": (
         "40bd97621e71a109765f6e1b8c33e9813f209ecfaf610747d8c3233d148064ec",
         [
-            "f911ff8e02ca9abb536c163d352044ae78071fa43741dc72bd770df11e635419",
-            "28944e7e947c0858a8307bd4d6bc43dadf9bd6baf554332a89d76d208c2684b4",
-            "7faf5b5ccf1a766a9e82fff403808f2b4ab074caf483e42cadc7ac7f275d2949",
-            "dc95538a48931e83358b49924f3c3df17ca076ea4e4182edd6a8eb73d8b2d46e",
+            "62683fcad084b7a4b57a652b2f26468a4aa30ec9b71f141ad80d567537037ab5",
+            "b5c0491900a1fc28a72bca60d6625922b07f7138e0d26add978a1019338a40a5",
+            "309043a3e3e2bba5dff0caea339db011892838d48d8794512f323ae5fd901f81",
+            "1ddbf1e3b456be995a6cd40ef565dac6160fa678906b3b60652b30ff51ce0f68",
         ],
-        "ok",
+        "DecodeFailed 63/128",
     ),
     "64KiB": (
         "4d5018d5061aa22c567c42536ec75f4044776564c082bd890ff93b4af23a7974",
         [
-            "1cdb0bd9622b4ae3ad852ba3ade154c395244a1c3c26dabe387e7809c941d0fc",
-            "175bfa73d0459e8da35a43bf9dde38e12744116f87f781aee0c73d3b9eeea23b",
-            "b17344e55cb549990ec4b6dfcb07a7268124e5ca0d30bf1d5b92593f6d891e15",
-            "e0c86b2aaf603d538d49a9a53d18e64da855a8fa5b609aa8cccffba63b24e5fe",
+            "c61e33d929857e5e7523759e522ef19d599485e037949d9612d49c46e4d52eee",
+            "b25b9a892bde8cf2b900d8296a3c8a1f33534e9bd9473877daada9f436b1db5c",
+            "46e4afd176a31b750b960fc34356b55ba58d913eedf8deca8454faa8b76605c8",
+            "726358b5e62843a70a68378366c6dccda32d2a76e30c9ba0105bf60aa73229f5",
         ],
         "ok",
     ),

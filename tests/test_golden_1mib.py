@@ -21,10 +21,10 @@ DATA = random.Random(1).randbytes(1 << 20)
 
 RECEIPT = "55b3940aa860c494b4683b814d1f850fbcc7ab38877cfe31ce4e2ee81050d4e1"
 BEADS = [
-    "a90b97f46974305e13e7d259badbde1cc852c1bdbd8ebc1ebeb3cd169511e155",
-    "c50b55b5005a0faa324a5aaf98f6f631cc44de2fc703ebc8c9ba1336b652b25b",
-    "31aa8590aa67296cb09c1feae37a11b39152845bd75fd641ea1175ab499816a2",
-    "b5e98668a2d47c2704dfa241554b44e7400533b50079afd3b5bfd61bc86f8f21",
+    "f6aaad5c9d7bccbd04ecb4c893f7cca5002416968c954e57dc8daeba980351fc",
+    "a7a0df8049b49d3312036eb3170bb4d0b8c2651a6911ca90beaa353b7108e6e7",
+    "4e6fea10f010894f1a564a0b7e261ac9b5010948b1778035a90440b940e05ec5",
+    "5f16281c95813a2099f15f42ae6ee4c37665799f8e368209e7e6415d0307aa61",
 ]
 TIP = "993ab4ff2b65fa9828a6e637da2a06fd07950e0d633d5ae6c0236e787a445b34"
 DOWNLOAD = "08b2a8da54e3e185f025ac53633deae5a583c8880a72a21e169a1da022baa003"

@@ -1,11 +1,18 @@
 """Synthesis/sequencing channel: determinism, noise semantics, consensus."""
 
+import hashlib
+import math
 import random
+from fractions import Fraction
 
+from unittest.mock import patch
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnavault import synthesis
 from dnavault.dna_codec import bytes_to_dna, oligo_codes, oligo_strings
 from dnavault.errors import EmptyBead
 from dnavault.fountain import droplet_to_oligo, encode_droplets, fragment
@@ -16,6 +23,7 @@ from dnavault.synthesis import (
     ErrorModel,
     ReadSet,
     consensus_reads,
+    gap_table,
     load_bead,
     save_bead,
     sequence_bead,
@@ -46,19 +54,21 @@ def consensus(read_set, segment_size):
 
 
 def scalar_corrupt(oligo: str, stream_seed: int, rate: float, skip_dropout_draw: bool) -> str:
-    """Reference implementation of the documented per-stream noise semantics."""
+    """Reference implementation of the documented per-stream noise semantics (gap by gap)."""
     rng = Xorshift64Star(stream_seed)
     if skip_dropout_draw:
         rng.next_u64()
-    threshold = None if rate <= 0 else (1 << 64 if rate >= 1 else int(rate * (1 << 64)))
-    out = []
-    for ch in oligo:
+    if rate <= 0:
+        return oligo
+    table = [math.floor((1 - Fraction(rate)) ** g * 2**64) for g in range(1, len(oligo) + 1)]
+    out, at = list(oligo), 0
+    while True:
         u = rng.next_u64()
-        if threshold is not None and u < threshold:
-            out.append(BASES[(BASES.index(ch) + 1 + ((u >> 32) % 3)) % 4])
-        else:
-            out.append(ch)
-    return "".join(out)
+        at += sum(t > u for t in table)  # the gap to the next hit
+        if at >= len(oligo):
+            return "".join(out)
+        out[at] = BASES[(BASES.index(out[at]) + 1 + ((rng.next_u64() >> 32) % 3)) % 4]
+        at += 1
 
 
 # --- synthesize -----------------------------------------------------------------
@@ -128,6 +138,77 @@ def test_error_model_validates_rates():
         ErrorModel(substitution_rate=1.5)
     with pytest.raises(ValueError):
         ErrorModel(oligo_dropout_rate=-0.1)
+
+
+# --- the gap channel ----------------------------------------------------------------
+
+# The sha256 of gap_table(0.001, 160) as little-endian uint64: every interpreter and CPU must build the same table.
+GAP_TABLE_0_001_160 = "c13bf97e6ed4b18e459c3396ac5373d33dfe598fb35eec4d104a235d2f550e95"
+
+
+def test_gap_table_is_exact_and_pinned():
+    for rate, length in [(0.001, 160), (0.02, 40), (0.3, 17), (1e-30, 5), (1.0, 9)]:
+        expected = [math.floor((1 - Fraction(rate)) ** g * 2**64) for g in range(1, length + 1)]
+        assert gap_table(rate, length).tolist() == expected
+    assert gap_table(1.0, 9).tolist() == [0] * 9  # every base hits
+    assert hashlib.sha256(gap_table(0.001, 160).astype("<u8").tobytes()).hexdigest() == GAP_TABLE_0_001_160
+
+
+# Upper 1e-6 tail of chi-square with 2 and 159 degrees of freedom.
+CHI2_LIMIT = {2: 27.63, 159: 258.58}
+
+
+def chi_square(observed, expected):
+    return float(((observed - expected) ** 2 / expected).sum())
+
+
+@pytest.mark.parametrize("rate, streams", [(0.001, 200_000), (0.02, 10_000), (0.3, 800)])
+def test_substitutions_are_binomial_uniform_in_position_and_shift(rate, streams):
+    length = 160
+    codes = np.zeros((streams, length), dtype=np.uint8)
+    stored = synthesize(codes, ErrorModel(substitution_rate=rate, rng_seed=2024), f"stat-{rate}").codes
+    rows, positions = np.nonzero(stored)
+    trials = streams * length
+    assert abs(len(rows) - trials * rate) < 4 * math.sqrt(trials * rate * (1 - rate))
+    assert chi_square(np.bincount(positions, minlength=length), len(rows) / length) < CHI2_LIMIT[159]
+    shifts = np.bincount(stored[rows, positions], minlength=4)
+    assert shifts[0] == 0 and chi_square(shifts[1:], len(rows) / 3) < CHI2_LIMIT[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    count=st.integers(1, 8),
+    dropout=st.sampled_from([0.0, 0.3, 1.0]),
+    coverage=st.integers(1, 4),
+)
+def test_rate_zero_is_the_identity_and_draws_nothing_for_substitutions(seed, count, dropout, coverage):
+    oligos = make_oligos(count=count, seed=seed)
+    codes = oligo_codes(oligos)
+    model = ErrorModel(0.0, dropout, rng_seed=seed % 7)
+    seeded, steps = [], []
+
+    def counted(name, log):
+        real = getattr(synthesis, name)
+
+        def count_streams(states):
+            log.append(len(states))
+            return real(states)
+
+        return patch.object(synthesis, name, count_streams)
+
+    with counted("seed_states", seeded), counted("step_states", steps):
+        bead = synthesize(codes, model, f"zero-{seed}")
+        assert steps == ([count] if dropout > 0 else [])  # the dropout draw alone, and only when it can drop
+        assert seeded == steps
+        assert bead.oligos == [o for o in oligos if o in bead.oligos]  # kept oligos keep their bases and order
+        assert bead.oligos == oligos if dropout == 0 else (dropout < 1 or bead.oligos == [])
+        if not bead.oligos:
+            return
+        seeded.clear(), steps.clear()
+        reads = sequence_bead(bead, coverage, model)
+        assert (seeded, steps) == ([], [])  # no per-read stream is seeded or stepped
+    assert read_strings(reads) == bead.oligos and reads.counts.tolist() == [coverage] * len(bead.oligos)
 
 
 # --- sequencing -----------------------------------------------------------------
