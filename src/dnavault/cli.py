@@ -27,9 +27,9 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-from . import errors, ledger
+from . import errors
 from .config import ServiceConfig, resolve_state_dir
-from .contract import StorageContract, StoreParams
+from .contract import CHAIN_FILE, StorageContract, StoreParams
 from .errors import CorruptChain, DecodeFailed, StorageError
 from .ledger import Validator
 from .network import Cluster
@@ -152,22 +152,17 @@ def _cmd_chain_show(args) -> int:
 def _cmd_chain_verify(args) -> int:
     if args.url:
         info = HttpClient(args.url).chain_info()
-        if info["valid"]:
-            print(f"chain OK height={info['height']} tip={info['tip_hash']}")
-            return 0
-        print(f"chain INVALID at height {info.get('failure_height')}")
-        return EXIT_CHAIN_INVALID
-    chain_path = resolve_state_dir(args.state) / "chain.jsonl"
-    try:
-        tip = ledger.read_ledger(chain_path).tip
-    except OSError:
-        height = 0
-    except CorruptChain as exc:
-        height = exc.height
+    elif not (resolve_state_dir(args.state) / CHAIN_FILE).exists():
+        info = {"valid": False, "failure_height": 0}  # no chain to verify; opening would write a genesis
     else:
-        print(f"chain OK height={tip.index} tip={tip.block_hash}")
+        try:
+            info = _client(args).chain_info()  # the open every local command takes, bead headers checked
+        except CorruptChain as exc:
+            info = {"valid": False, "failure_height": exc.height}
+    if info["valid"]:
+        print(f"chain OK height={info['height']} tip={info['tip_hash']}")
         return 0
-    print(f"chain INVALID at height {height}")
+    print(f"chain INVALID at height {info.get('failure_height')}")
     return EXIT_CHAIN_INVALID
 
 

@@ -82,6 +82,9 @@ def known_fields(cls, raw: dict, skip: tuple[str, ...] = ()) -> dict:
 # A key belongs to one upload.
 _UNPERSISTED = ("key",)
 
+# The ledger's file in a state directory.
+CHAIN_FILE = "chain.jsonl"
+
 
 @dataclass(frozen=True)
 class StoreParams:
@@ -147,7 +150,7 @@ class StorageContract:
         self.defaults = defaults or StoreParams()
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.clock = clock
-        chain_path = self.state_dir / "chain.jsonl" if self.state_dir is not None else None
+        chain_path = self.state_dir / CHAIN_FILE if self.state_dir is not None else None
         if chain_path is not None and chain_path.exists():
             self.ledger = ledger.read_ledger(chain_path)
             self._rehydrate_beads()
@@ -179,7 +182,7 @@ class StorageContract:
 
     def _persist_block(self, block: Block) -> None:
         if self.state_dir is not None:
-            ledger.append_chain_file(self.state_dir / "chain.jsonl", block)
+            ledger.append_chain_file(self.state_dir / CHAIN_FILE, block)
 
     # --- workflow operations ---
 

@@ -113,6 +113,23 @@ def test_chain_verify_detects_tampering(capsys, state, stored_file, tmp_path):
     assert f"height {expected_height}" in out
 
 
+def test_chain_verify_opens_the_directory_like_every_other_command(capsys, state, stored_file, tmp_path):
+    receipt = json.loads(run_cli(capsys, "--state", state, "upload", str(stored_file), "--owner", "alice")[1])
+    path = tmp_path / "state" / "beads" / receipt["bead_ids"][0] / "oligos.txt"
+    path.write_bytes(b"#K=999 SEG=1 LEN=5\n" + path.read_bytes().split(b"\n", 1)[1])
+    for command in (["chain", "show"], ["chain", "verify"]):
+        code, out, err = run_cli(capsys, "--state", state, *command)
+        assert (code, out) == (2, ""), command
+        assert str(path) in err and "#K=999 SEG=1 LEN=5" in err
+
+
+def test_chain_verify_of_a_missing_directory_reports_height_0_and_creates_nothing(capsys, tmp_path):
+    missing = tmp_path / "never-made"
+    code, out, _ = run_cli(capsys, "--state", str(missing), "chain", "verify")
+    assert code == EXIT_CHAIN_INVALID and out == "chain INVALID at height 0\n"
+    assert not missing.exists()
+
+
 def test_nodes_list_and_fault_injection(capsys, state, stored_file):
     receipt = json.loads(run_cli(capsys, "--state", state, "upload", str(stored_file), "--owner", "alice")[1])
     victim = receipt["placement"][0][1]
