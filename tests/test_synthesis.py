@@ -4,7 +4,6 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-
 from unittest.mock import patch
 
 import numpy as np
@@ -202,10 +201,14 @@ def test_rate_zero_is_the_identity_and_draws_nothing_for_substitutions(seed, cou
         assert steps == ([count] if dropout > 0 else [])  # the dropout draw alone, and only when it can drop
         assert seeded == steps
         assert bead.oligos == [o for o in oligos if o in bead.oligos]  # kept oligos keep their bases and order
-        assert bead.oligos == oligos if dropout == 0 else (dropout < 1 or bead.oligos == [])
+        if dropout == 0:
+            assert bead.oligos == oligos
+        if dropout == 1:
+            assert bead.oligos == []
         if not bead.oligos:
             return
-        seeded.clear(), steps.clear()
+        seeded.clear()
+        steps.clear()
         reads = sequence_bead(bead, coverage, model)
         assert (seeded, steps) == ([], [])  # no per-read stream is seeded or stepped
     assert read_strings(reads) == bead.oligos and reads.counts.tolist() == [coverage] * len(bead.oligos)
