@@ -14,7 +14,7 @@ from collections import Counter
 from dnavault.dna_codec import oligo_codes
 from dnavault.errors import BeadUnavailable
 from dnavault.ledger import CodecParams, FileRecord, Validator, append_block, fold_records, genesis, record_create
-from dnavault.network import Cluster, PlacementPolicy
+from dnavault.network import Cluster
 from dnavault.synthesis import Bead
 
 print("=" * 70)
@@ -22,7 +22,7 @@ print("1. RENDEZVOUS PLACEMENT IS BALANCED AND DETERMINISTIC")
 print("=" * 70)
 cluster = Cluster([f"n{i}" for i in range(8)])
 beads = [Bead(f"bead.{i}", oligo_codes(["ACGTACGT"])) for i in range(120)]
-placement = cluster.place_beads(beads, PlacementPolicy(3), placement_seed=11)
+placement = cluster.place_beads(beads, 3, placement_seed=11)
 load = Counter(node_id for _, node_id in placement)
 for node_id in sorted(load):
     print(f"  {node_id}: {'#' * (load[node_id] // 2)} {load[node_id]} replicas")

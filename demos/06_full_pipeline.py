@@ -35,7 +35,7 @@ print("=" * 70)
 data = random.Random(99).randbytes(128 * 1024)
 key = "GATTACAGATTACA"
 start = time.perf_counter()
-receipt = contract.upload_file("alice", data, StoreParams(key=key, error_model=params.error_model))
+receipt = contract.upload_file("alice", data, key=key)
 print(f"  {len(data)} bytes uploaded in {time.perf_counter() - start:.2f}s")
 print(f"  content address : {receipt.file_hash}")
 print(f"  recorded at     : block {receipt.block_index}")

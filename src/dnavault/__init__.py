@@ -20,7 +20,7 @@ The subsystems compose bottom-up and each is usable on its own:
 from . import errors
 from .contract import StorageContract, StoreParams, UploadReceipt
 from .ledger import Block, CodecParams, FileRecord, Validator
-from .network import Cluster, PlacementPolicy
+from .network import Cluster
 from .synthesis import Bead, ErrorModel, ReadSet
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "CodecParams",
     "ErrorModel",
     "FileRecord",
-    "PlacementPolicy",
     "ReadSet",
     "StorageContract",
     "StoreParams",

@@ -193,7 +193,7 @@ def _cmd_bench(args) -> int:
     failure = None
     receipt = None
     try:
-        receipt = contract.upload_file("bench", data, params)
+        receipt = contract.upload_file("bench", data)
         ok = contract.download_file("bench", receipt.file_hash) == data
     except StorageError as exc:
         ok = False

@@ -34,7 +34,7 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -64,7 +64,7 @@ from .fountain import (
     split_frames,
 )
 from .ledger import Block, CodecParams, FileRecord, Ledger, Validator, save_chain
-from .network import Cluster, PlacementPolicy
+from .network import Cluster
 from .rng import derive_seed
 from .synthesis import ErrorModel, consensus_reads, load_bead, save_bead, sequence_bead, synthesize
 
@@ -79,16 +79,13 @@ def known_fields(cls, raw: dict, skip: tuple[str, ...] = ()) -> dict:
     return {f.name: raw[f.name] for f in fields(cls) if f.name in raw and f.name not in skip}
 
 
-# A key belongs to one upload.
-_UNPERSISTED = ("key",)
-
 # The ledger's file in a state directory.
 CHAIN_FILE = "chain.jsonl"
 
 
 @dataclass(frozen=True)
 class StoreParams:
-    """Every knob of the storage pipeline, with desk-scale defaults."""
+    """Every setting of the storage pipeline, with desk-scale defaults; the key belongs to each call."""
 
     segment_size: int = 32
     overhead: float = 1.7
@@ -96,7 +93,6 @@ class StoreParams:
     replication: int = 3
     error_model: ErrorModel = field(default_factory=ErrorModel)
     coverage: int = 5
-    key: str | None = None
 
     def __post_init__(self):
         if self.segment_size < 1 or self.beads_per_file < 1 or self.replication < 1 or self.coverage < 1:
@@ -105,13 +101,13 @@ class StoreParams:
             raise ValueError("droplet overhead factor must be at least 1")
 
     def to_dict(self) -> dict:
-        """Every field but the unpersisted ``key``."""
-        return {**field_values(self, _UNPERSISTED), "error_model": field_values(self.error_model)}
+        """Every field, the error model as a dict of its own."""
+        return {**field_values(self), "error_model": field_values(self.error_model)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> StoreParams:
         """The inverse of :meth:`to_dict`: missing keys take the defaults, unknown keys are ignored."""
-        known = known_fields(cls, raw, _UNPERSISTED)
+        known = known_fields(cls, raw)
         if "error_model" in known:
             known["error_model"] = ErrorModel(**known_fields(ErrorModel, known["error_model"]))
         return cls(**known)
@@ -217,19 +213,19 @@ class StorageContract:
                     best, best_recovered = batch, recovered
         return best
 
-    def upload_file(self, owner: str, data: bytes, params: StoreParams | None = None) -> UploadReceipt:
-        """Run the whole encode/synthesize/place/record pipeline on ``data``."""
+    def upload_file(self, owner: str, data: bytes, key: str | None = None) -> UploadReceipt:
+        """Run the whole encode/synthesize/place/record pipeline on ``data``, encrypted first if ``key`` is given."""
         if not data:
             raise EmptyInput("cannot upload an empty file")
         if not owner:
             raise ValueError("owner identity must be non-empty")
-        params = params or self.defaults
+        params = self.defaults
 
         file_hash = hashlib.sha256(data).hexdigest()
         if file_hash in self.ledger.records:
             raise DuplicateFile(f"file {file_hash} is already recorded")
 
-        payload = keystream_encrypt(data, params.key) if params.key else data
+        payload = keystream_encrypt(data, key) if key else data
         segments, original_length = fragment(payload, params.segment_size)
         k = len(segments)
         count = max(k, math.ceil(k * params.overhead))
@@ -239,9 +235,7 @@ class StorageContract:
         n_beads = min(params.beads_per_file, len(codes))
         beads = [synthesize(codes[i::n_beads], params.error_model, f"{file_hash[:16]}.{i}") for i in range(n_beads)]
 
-        placement = self.cluster.place_beads(
-            beads, PlacementPolicy(params.replication), derive_seed("placement", file_hash)
-        )
+        placement = self.cluster.place_beads(beads, params.replication, derive_seed("placement", file_hash))
         codec = CodecParams(k, params.segment_size, original_length)
         if self.state_dir is not None:
             for bead in beads:
@@ -311,7 +305,3 @@ class StorageContract:
     def find_record(self, file_hash: str) -> FileRecord:
         """A copy of the current record for ``file_hash``; raises UnknownFile."""
         return self.ledger.record(file_hash)
-
-    def with_key(self, key: str | None) -> StoreParams:
-        """The default parameters with a per-request encryption key."""
-        return replace(self.defaults, key=key)

@@ -45,12 +45,6 @@ OLIGO_HEADER_BYTES = 8  # 4-byte seed + 4-byte CRC
 
 
 @dataclass(frozen=True)
-class Segment:
-    index: int
-    payload: bytes
-
-
-@dataclass(frozen=True)
 class Droplet:
     seed: int
     payload: bytes
@@ -142,17 +136,14 @@ class OligoScreen:
 DEFAULT_SCREEN = OligoScreen()
 
 
-def fragment(data: bytes, segment_size: int) -> tuple[list[Segment], int]:
-    """Split ``data`` into zero-padded segments; returns (segments, true length)."""
+def fragment(data: bytes, segment_size: int) -> tuple[np.ndarray, int]:
+    """``data`` as the rows of a zero-padded ``(K, segment_size)`` uint8 matrix, and its true length."""
     if not data:
         raise EmptyInput("cannot fragment zero bytes")
     if segment_size < 1:
         raise ValueError("segment_size must be positive")
-    segments = []
-    for index, start in enumerate(range(0, len(data), segment_size)):
-        chunk = data[start : start + segment_size]
-        segments.append(Segment(index, chunk.ljust(segment_size, b"\x00")))
-    return segments, len(data)
+    k = -(-len(data) // segment_size)
+    return np.frombuffer(data.ljust(k * segment_size, b"\0"), np.uint8).reshape(k, segment_size), len(data)
 
 
 def droplet_plan(seed: int, k: int, dist: RobustSoliton) -> tuple[int, list[int]]:
@@ -211,14 +202,14 @@ _ENCODE_BATCH = 16384
 
 
 def encode_droplets(
-    segments: list[Segment],
+    segments: np.ndarray,
     count: int,
     rng_seed: int,
     dist: RobustSoliton | None = None,
     *,
     screen: OligoScreen | None = None,
 ) -> DropletBatch:
-    """Generate exactly ``count`` droplets from a master seed.
+    """Generate exactly ``count`` droplets over the rows of ``segments`` from a master seed.
 
     Candidate 32-bit droplet seeds come from the top bits of an
     xorshift64* stream seeded with ``rng_seed``; duplicates are skipped so
@@ -227,14 +218,13 @@ def encode_droplets(
     framed and screened in batches; the result holds the first ``count``
     accepted candidates in seed order: their frames, base codes and plans.
     """
-    if not segments:
+    if not len(segments):
         raise EmptyInput("no segments to encode")
     if count < 1:
         raise ValueError("count must be positive")
-    k = len(segments)
+    k, segment_size = segments.shape
     dist = dist or RobustSoliton(k)
-    segment_size = len(segments[0].payload)
-    seg_words = _segment_words(np.frombuffer(b"".join(s.payload for s in segments), np.uint8).reshape(k, -1))
+    seg_words = _segment_words(segments)
 
     master = Xorshift64Star(rng_seed)
     kept: list[tuple[np.ndarray, ...]] = []  # per batch: accepted frames, codes, plan sizes and plan indices
@@ -254,25 +244,17 @@ def encode_droplets(
             want = need * attempts // done + 1
         else:
             want = 4 * attempts
-        want = min(want, _ENCODE_BATCH)
-        # Draw in rounds of no more values than are still missing (capped by the budget), so no draw
-        # is taken that a one-at-a-time loop would not take; a seed drawn before is skipped.
-        fresh = [np.zeros(0, dtype=np.uint64)]
-        found = 0
-        while found < want and attempts < budget:
-            draws = min(want - found, budget - attempts)
-            attempts += draws
-            values = master.next_u64s(draws) >> np.uint64(32)
-            # Sorted keys seed << 32 | when (0 for a seed seen before, 1.. in this round's stream order):
-            # each seed's first key is its earliest draw, a new seed only if that came in this round.
-            when = np.arange(1, draws + 1, dtype=np.uint64)
-            keys = np.sort(np.concatenate([seen << np.uint64(32), values << np.uint64(32) | when]))
-            earliest = keys[np.concatenate(([True], (keys[1:] >> np.uint64(32)) != (keys[:-1] >> np.uint64(32))))]
-            seen, when = earliest >> np.uint64(32), earliest & np.uint64(0xFFFFFFFF)
-            values = values[np.sort(when[when > 0]).astype(np.int64) - 1]
-            fresh.append(values)
-            found += len(values)
-        seeds = np.concatenate(fresh)
+        # One round of draws, capped by the budget; a seed drawn before is skipped.
+        draws = min(want, _ENCODE_BATCH, budget - attempts)
+        attempts += draws
+        values = master.next_u64s(draws) >> np.uint64(32)
+        # Sorted keys seed << 32 | when (0 for a seed seen before, 1.. in this round's stream order):
+        # each seed's first key is its earliest draw, a new seed only if that came in this round.
+        when = np.arange(1, draws + 1, dtype=np.uint64)
+        keys = np.sort(np.concatenate([seen << np.uint64(32), values << np.uint64(32) | when]))
+        earliest = keys[np.concatenate(([True], (keys[1:] >> np.uint64(32)) != (keys[:-1] >> np.uint64(32))))]
+        seen, when = earliest >> np.uint64(32), earliest & np.uint64(0xFFFFFFFF)
+        seeds = values[np.sort(when[when > 0]).astype(np.int64) - 1]
         if not len(seeds):
             continue
         offsets, indices = plan_droplets(seeds, k, dist)

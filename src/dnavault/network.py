@@ -27,15 +27,6 @@ class NodeState:
 
 
 @dataclass(frozen=True)
-class PlacementPolicy:
-    replication_factor: int = 3
-
-    def __post_init__(self):
-        if self.replication_factor < 1:
-            raise ValueError("replication factor must be at least 1")
-
-
-@dataclass(frozen=True)
 class AuditEntry:
     file_hash: str
     bead_id: str
@@ -92,18 +83,17 @@ class Cluster:
     def online_nodes(self) -> list[NodeState]:
         return [n for n in self.nodes.values() if n.online]
 
-    def place_beads(
-        self, beads: list[Bead], policy: PlacementPolicy, placement_seed: int
-    ) -> list[tuple[str, str]]:
-        """Store every bead on its top-r rendezvous nodes.
+    def place_beads(self, beads: list[Bead], replication: int, placement_seed: int) -> list[tuple[str, str]]:
+        """Store every bead on its top-``replication`` rendezvous nodes.
 
         Returns the placement map [(bead_id, node_id), ...] in rank order
         per bead, ready for ledger recording.
         """
-        r = policy.replication_factor
+        if replication < 1:
+            raise ValueError("replication factor must be at least 1")
         online = self.online_nodes()
-        if len(online) < r:
-            raise InsufficientNodes(f"need {r} online nodes, have {len(online)}")
+        if len(online) < replication:
+            raise InsufficientNodes(f"need {replication} online nodes, have {len(online)}")
         placement: list[tuple[str, str]] = []
         for bead in beads:
             ranked = sorted(
@@ -111,7 +101,7 @@ class Cluster:
                 key=lambda n: (_rendezvous_score(bead.bead_id, n.node_id, placement_seed), n.node_id),
                 reverse=True,
             )
-            for node in ranked[:r]:
+            for node in ranked[:replication]:
                 node.beads[bead.bead_id] = bead
                 placement.append((bead.bead_id, node.node_id))
         return placement

@@ -54,8 +54,7 @@ class StorageService:
 
     def upload(self, owner: str, body: bytes, key: str | None = None) -> dict:
         with self._write_lock:
-            params = self.contract.with_key(key) if key else None
-            receipt = self.contract.upload_file(owner, body, params)
+            receipt = self.contract.upload_file(owner, body, key)
         return receipt.to_dict()
 
     def download(self, requester: str, file_hash: str, key: str | None = None) -> bytes:

@@ -99,13 +99,11 @@ class ReadSet:
     :func:`sequence_bead` a row is a stored oligo standing for its clean
     reads, or one read that took a hit; rows come in the order of their first
     read, round-major, so a lower coverage's rows are a prefix of a higher
-    one's. Equal rows may repeat. A hand-built set may leave ``counts`` as
-    None: each row then stands for one read.
+    one's. Equal rows may repeat.
     """
 
     reads: np.ndarray
-    coverage: int
-    counts: np.ndarray | None = None
+    counts: np.ndarray
 
 
 def _hits(u: np.ndarray, rate: float) -> np.ndarray:
@@ -186,7 +184,7 @@ def sequence_bead(bead: Bead, coverage: int, model: ErrorModel) -> ReadSet:
     if not n:
         raise EmptyBead(f"bead {bead.bead_id} holds no oligos")
     if model.substitution_rate <= 0.0:  # every read is its stored row: no stream is seeded
-        return ReadSet(bead.codes.copy(), coverage, np.full(n, coverage))
+        return ReadSet(bead.codes.copy(), np.full(n, coverage))
 
     base = derive_seed("sequence", model.rng_seed, bead.bead_id)
     oligo_seeds = substream_array(base, np.arange(n))
@@ -209,7 +207,7 @@ def sequence_bead(bead: Bead, coverage: int, model: ErrorModel) -> ReadSet:
     at[order] = np.arange(len(order))
     target = at[first[reads]]  # where each hit's read landed
     rows[target, positions] = (rows[target, positions] + shifts) % 4
-    return ReadSet(rows, coverage, counts[order])
+    return ReadSet(rows, counts[order])
 
 
 def consensus_reads(read_set: ReadSet, segment_size: int) -> np.ndarray:
@@ -221,13 +219,13 @@ def consensus_reads(read_set: ReadSet, segment_size: int) -> np.ndarray:
     survives only if it passes the CRC. Returns the ``(m, 8 + segment_size)``
     packed bytes of the survivors, in first-seen group order.
 
-    Each row stands for its count of reads (one without counts) and is
-    packed to bytes and CRC-checked once. Groups come from a stable argsort
-    of the packed 4-byte seed field. A pool whose rows all agree yields its
-    first row unchanged; the other pools are voted together, each row's
-    bases counting once per read it stands for, the lowest code
-    (alphabetically first base) winning a tie. Reads whose length is not the
-    frame length have nothing to vote on and yield no consensus.
+    Each row stands for its count of reads and is packed to bytes and
+    CRC-checked once. Groups come from a stable argsort of the packed 4-byte
+    seed field. A pool whose rows all agree yields its first row unchanged;
+    the other pools are voted together, each row's bases counting once per
+    read it stands for, the lowest code (alphabetically first base) winning
+    a tie. Reads whose length is not the frame length have nothing to vote
+    on and yield no consensus.
     """
     width = OLIGO_HEADER_BYTES + segment_size
     codes = read_set.reads
@@ -253,8 +251,7 @@ def consensus_reads(read_set: ReadSet, segment_size: int) -> np.ndarray:
         box = (np.cumsum(~agree) - 1)[pool_group[ballot]]  # which voted pool each voter is in, ascending
         cells = (int(box[-1]) + 1) * length  # one per voted pool and column
         slots = (codes[voters].astype(np.int64) * cells + (box[:, None] * length + np.arange(length))).ravel()
-        weights = np.ones(len(voters)) if read_set.counts is None else read_set.counts[voters]
-        tally = np.bincount(slots, weights.repeat(length), minlength=4 * cells).reshape(4, cells)
+        tally = np.bincount(slots, read_set.counts[voters].repeat(length), minlength=4 * cells).reshape(4, cells)
         best = (tally * 4 + np.arange(3, -1, -1)[:, None]).max(axis=0)  # most votes, then the lowest code
         voted = codes_to_bytes((3 - best % 4).astype(np.uint8).reshape(-1, length))
         out[~agree], keep[~agree] = voted, frame_crcs(voted) == split_frames(voted)[2]

@@ -34,7 +34,7 @@ from dnavault.dna_codec import (
 from dnavault.errors import BeadUnavailable, ChecksumMismatch, InsufficientDroplets, NotFactorable
 from dnavault.fountain import decode, droplet_to_oligo, encode_droplets, fragment, oligo_to_droplet, split_frames
 from dnavault.ledger import Validator, select_validator
-from dnavault.network import Cluster, PlacementPolicy
+from dnavault.network import Cluster
 from dnavault.service import make_server
 from dnavault.synthesis import Bead, ErrorModel
 
@@ -227,7 +227,7 @@ def test_stake_proportionality():
 def test_fault_tolerance_exhaustive():
     cluster = Cluster([f"n{i}" for i in range(6)])
     bead = Bead("the-bead", oligo_codes(["ACGTACGTACGTACGT"]))
-    placement = cluster.place_beads([bead], PlacementPolicy(3), placement_seed=7)
+    placement = cluster.place_beads([bead], 3, placement_seed=7)
     hosts = {node_id for _, node_id in placement}
     assert len(hosts) == 3
     survivable = unsurvivable = 0

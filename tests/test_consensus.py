@@ -17,7 +17,7 @@ SEGMENT = 8
 
 def matrix_consensus(reads: list[str], segment_size: int) -> list[str]:
     """``consensus_reads`` on equal-length reads given as strings, its frames rendered back as oligos."""
-    frames = consensus_reads(ReadSet(oligo_codes(reads), 1), segment_size)
+    frames = consensus_reads(ReadSet(oligo_codes(reads), np.ones(len(reads), dtype=np.int64)), segment_size)
     return [bytes_to_dna(frame.tobytes()) for frame in frames]
 
 
@@ -133,7 +133,7 @@ def test_each_row_votes_once_per_read_it_stands_for():
     rnd = random.Random(2)
     # No clean read: a row with an error at 20 stands for 3 reads, two rows with other errors for 1 each.
     rows = [mutate(clean, [20], rnd), mutate(clean, [30], rnd), mutate(clean, [40], rnd)]
-    weighted = ReadSet(oligo_codes(rows), 1, np.array([3, 1, 1]))
+    weighted = ReadSet(oligo_codes(rows), np.array([3, 1, 1]))
     reads = [rows[0]] * 3 + rows[1:]
     assert rendered(consensus_reads(weighted, SEGMENT)) == reference_consensus(reads, SEGMENT) == []
     assert matrix_consensus(rows, SEGMENT) == reference_consensus(rows, SEGMENT) == [clean]  # one vote each
@@ -170,7 +170,7 @@ def test_weighted_consensus_matches_reference_on_expanded_reads(seed, count, rat
         rows = [mutate(r, [30], random.Random(0)) if r == broken else r for r in rows]
     rows += rnd.sample(rows, min(len(rows), rnd.randrange(3)))  # duplicate rows, counted on their own
     counts = copies + [rnd.randint(1, 4) for _ in range(len(rows) - len(copies))]
-    read_set = ReadSet(oligo_codes(rows), 1, np.array(counts))
+    read_set = ReadSet(oligo_codes(rows), np.array(counts))
     reads = [row for row, c in zip(rows, counts) for _ in range(c)]
     assert rendered(consensus_reads(read_set, SEGMENT)) == reference_consensus(reads, SEGMENT)
     # Without counts every row stands for one read.

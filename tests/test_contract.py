@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dnavault.config import ServiceConfig
 from dnavault.contract import StorageContract, StoreParams
 from dnavault.errors import (
     BeadUnavailable,
@@ -18,6 +19,7 @@ from dnavault.errors import (
 )
 from dnavault.ledger import Validator, verify_chain
 from dnavault.network import Cluster
+from dnavault.service import StorageService
 from dnavault.synthesis import ErrorModel
 
 VALIDATORS = [Validator("v-a", 1), Validator("v-b", 3), Validator("v-c", 6)]
@@ -183,7 +185,7 @@ def test_encrypted_upload_changes_oligos_but_not_plaintext():
     receipt_plain = plain.upload_file("alice", data)
     encrypted = make_contract()
     key = "GATTACA"
-    receipt_enc = encrypted.upload_file("alice", data, StoreParams(key=key))
+    receipt_enc = encrypted.upload_file("alice", data, key=key)
     assert receipt_enc.file_hash == receipt_plain.file_hash  # plaintext addressing
 
     def stored_oligos(contract):
@@ -200,12 +202,28 @@ def test_encrypted_upload_changes_oligos_but_not_plaintext():
 def test_encrypted_download_requires_the_key():
     data = payload_bytes(900, seed=13)
     contract = make_contract()
-    receipt = contract.upload_file("alice", data, StoreParams(key="CCGG"))
+    receipt = contract.upload_file("alice", data, key="CCGG")
     with pytest.raises(IntegrityMismatch):
         contract.download_file("alice", receipt.file_hash)  # missing key
     with pytest.raises(IntegrityMismatch):
         contract.download_file("alice", receipt.file_hash, key="GGCC")  # wrong key
     assert contract.download_file("alice", receipt.file_hash, key="CCGG") == data
+
+
+def test_a_keyed_upload_stores_the_same_beads_through_the_library_and_the_service(tmp_path):
+    params = StoreParams(error_model=ErrorModel(0.001, rng_seed=7))
+    data, key = payload_bytes(16384, seed=17), "GATTACA"
+    contract = make_contract(params=params)
+    service = StorageService(ServiceConfig(state_dir=tmp_path, store=params))
+    file_hash = contract.upload_file("alice", data, key=key).file_hash
+    assert service.upload("alice", data, key)["file_hash"] == file_hash
+
+    def stored_beads(cluster):
+        return {b.bead_id: b.codes.tobytes() for node in cluster.nodes.values() for b in node.beads.values()}
+
+    assert stored_beads(contract.cluster) and stored_beads(contract.cluster) == stored_beads(service.cluster)
+    assert contract.download_file("alice", file_hash, key=key) == data
+    assert service.download("alice", file_hash, key) == data
 
 
 # --- workflow ordering / determinism ------------------------------------------------------

@@ -73,16 +73,16 @@ def decode_droplets(droplets: list[Droplet], k: int, length: int) -> bytes:
 def test_fragment_pads_final_segment():
     segments, length = fragment(b"0123456789", 4)
     assert length == 10
-    assert [s.payload for s in segments] == [b"0123", b"4567", b"89\x00\x00"]
-    assert [s.index for s in segments] == [0, 1, 2]
+    assert [bytes(s) for s in segments] == [b"0123", b"4567", b"89\x00\x00"]
+    assert segments.shape == (3, 4)
 
 
 def test_fragment_exact_and_oversized():
     segments, _ = fragment(b"abcd", 4)
-    assert len(segments) == 1 and segments[0].payload == b"abcd"
+    assert len(segments) == 1 and bytes(segments[0]) == b"abcd"
     segments, length = fragment(b"x", 256)
     assert length == 1
-    assert len(segments) == 1 and len(segments[0].payload) == 256
+    assert len(segments) == 1 and len(bytes(segments[0])) == 256
 
 
 def test_fragment_rejects_empty():
@@ -160,7 +160,7 @@ def test_single_segment_droplets_are_identity():
     segments, _ = fragment(b"only one", 8)
     droplets = encode_droplets(segments, 5, rng_seed=3).droplets()
     assert all(d.degree == 1 for d in droplets)
-    assert all(d.payload == segments[0].payload for d in droplets)
+    assert all(d.payload == bytes(segments[0]) for d in droplets)
 
 
 def test_degree_one_droplet_equals_selected_segment():
@@ -172,7 +172,7 @@ def test_degree_one_droplet_equals_selected_segment():
     dist = RobustSoliton(len(segments))
     for d in ones:
         _, (index,) = droplet_plan(d.seed, len(segments), dist)
-        assert d.payload == segments[index].payload
+        assert d.payload == bytes(segments[index])
 
 
 def test_encoding_is_deterministic_and_distinct():
@@ -217,7 +217,7 @@ def test_decode_single_degree_one_droplet():
     segments, length = fragment(b"hello world!", 12)
     dist = RobustSoliton(1)
     seed = find_seed_covering(1, [0], dist)
-    droplet = make_droplet(seed, segments[0].payload)
+    droplet = make_droplet(seed, bytes(segments[0]))
     assert decode_droplets([droplet], 1, length) == b"hello world!"
 
 
@@ -226,8 +226,8 @@ def test_decode_two_segments_via_one_peel():
     dist = RobustSoliton(2)
     seed0 = find_seed_covering(2, [0], dist)
     seed01 = find_seed_covering(2, [0, 1], dist)
-    xor_payload = bytes(a ^ b for a, b in zip(segments[0].payload, segments[1].payload))
-    droplets = [make_droplet(seed0, segments[0].payload), make_droplet(seed01, xor_payload)]
+    xor_payload = bytes(a ^ b for a, b in zip(bytes(segments[0]), bytes(segments[1])))
+    droplets = [make_droplet(seed0, bytes(segments[0])), make_droplet(seed01, xor_payload)]
     assert decode_droplets(droplets, 2, length) == b"ABCDEFGH"
     # the pair alone, without any degree-1 member, must stall at zero
     with pytest.raises(InsufficientDroplets) as info:
@@ -240,7 +240,7 @@ def test_decode_reports_partial_recovery():
     dist = RobustSoliton(3)
     seed = find_seed_covering(3, [0], dist)
     with pytest.raises(InsufficientDroplets) as info:
-        decode_droplets([make_droplet(seed, segments[0].payload)], 3, length)
+        decode_droplets([make_droplet(seed, bytes(segments[0]))], 3, length)
     assert info.value.recovered == 1
     assert info.value.needed == 3
 

@@ -8,7 +8,7 @@ import pytest
 from dnavault.dna_codec import oligo_codes
 from dnavault.errors import BeadUnavailable, InsufficientNodes, UnknownNode
 from dnavault.ledger import CodecParams, FileRecord, Validator, append_block, fold_records, genesis, record_create
-from dnavault.network import Cluster, PlacementPolicy
+from dnavault.network import Cluster
 from dnavault.synthesis import Bead
 
 VALIDATORS = [Validator("v", 1)]
@@ -26,7 +26,7 @@ def make_cluster(n: int) -> Cluster:
 
 def test_placement_uses_r_distinct_nodes():
     cluster = make_cluster(5)
-    placement = cluster.place_beads([make_bead("b")], PlacementPolicy(3), placement_seed=1)
+    placement = cluster.place_beads([make_bead("b")], 3, placement_seed=1)
     assert len(placement) == 3
     nodes = [n for _, n in placement]
     assert len(set(nodes)) == 3
@@ -36,17 +36,22 @@ def test_placement_uses_r_distinct_nodes():
 
 def test_placement_single_node():
     cluster = make_cluster(1)
-    placement = cluster.place_beads([make_bead("b")], PlacementPolicy(1), placement_seed=0)
+    placement = cluster.place_beads([make_bead("b")], 1, placement_seed=0)
     assert placement == [("b", "n0")]
 
 
 def test_placement_insufficient_nodes():
     cluster = make_cluster(3)
     with pytest.raises(InsufficientNodes):
-        cluster.place_beads([make_bead("b")], PlacementPolicy(4), placement_seed=0)
+        cluster.place_beads([make_bead("b")], 4, placement_seed=0)
     cluster.fail_node("n0")
     with pytest.raises(InsufficientNodes):
-        cluster.place_beads([make_bead("b")], PlacementPolicy(3), placement_seed=0)
+        cluster.place_beads([make_bead("b")], 3, placement_seed=0)
+
+
+def test_placement_rejects_a_replication_below_one():
+    with pytest.raises(ValueError, match="at least 1"):
+        make_cluster(3).place_beads([make_bead("b")], 0, placement_seed=0)
 
 
 def test_placement_is_deterministic():
@@ -54,16 +59,16 @@ def test_placement_is_deterministic():
     placements = []
     for _ in range(2):
         cluster = make_cluster(7)
-        placements.append(cluster.place_beads([make_bead(f"b{i}") for i in range(6)], PlacementPolicy(3), 42))
+        placements.append(cluster.place_beads([make_bead(f"b{i}") for i in range(6)], 3, 42))
     assert placements[0] == placements[1]
     cluster = make_cluster(7)
-    different = cluster.place_beads(beads, PlacementPolicy(3), 43)
+    different = cluster.place_beads(beads, 3, 43)
     assert different != placements[0]
 
 
 def test_placement_matches_rendezvous_ranking():
     cluster = make_cluster(6)
-    placement = cluster.place_beads([make_bead("ranked")], PlacementPolicy(3), 9)
+    placement = cluster.place_beads([make_bead("ranked")], 3, 9)
     scores = sorted(
         ((hashlib.sha256(f"ranked|n{i}|9".encode()).digest(), f"n{i}") for i in range(6)),
         reverse=True,
@@ -74,14 +79,14 @@ def test_placement_matches_rendezvous_ranking():
 def test_placement_skips_offline_nodes():
     cluster = make_cluster(5)
     cluster.fail_node("n1")
-    placement = cluster.place_beads([make_bead("b")], PlacementPolicy(3), 5)
+    placement = cluster.place_beads([make_bead("b")], 3, 5)
     assert "n1" not in {n for _, n in placement}
 
 
 def test_placement_balances_across_nodes():
     cluster = make_cluster(8)
     beads = [make_bead(f"b{i}") for i in range(200)]
-    cluster.place_beads(beads, PlacementPolicy(3), 3)
+    cluster.place_beads(beads, 3, 3)
     counts = [len(n.beads) for n in cluster.nodes.values()]
     assert min(counts) > 0
     assert max(counts) < 2.5 * (sum(counts) / len(counts))
@@ -92,7 +97,7 @@ def test_placement_balances_across_nodes():
 def test_retrieve_from_any_live_replica():
     cluster = make_cluster(6)
     bead = make_bead("b")
-    placement = cluster.place_beads([bead], PlacementPolicy(3), 11)
+    placement = cluster.place_beads([bead], 3, 11)
     hosts = [n for _, n in placement]
     assert cluster.retrieve_bead("b", placement).oligos == bead.oligos
     # any 2-subset of the 3 hosts may fail; the third still serves
@@ -106,7 +111,7 @@ def test_retrieve_from_any_live_replica():
 
 def test_retrieve_fails_when_all_hosts_down():
     cluster = make_cluster(4)
-    placement = cluster.place_beads([make_bead("b")], PlacementPolicy(3), 2)
+    placement = cluster.place_beads([make_bead("b")], 3, 2)
     for _, node_id in placement:
         cluster.fail_node(node_id)
     with pytest.raises(BeadUnavailable):
@@ -116,7 +121,7 @@ def test_retrieve_fails_when_all_hosts_down():
 def test_retrieve_respects_listed_order():
     cluster = make_cluster(5)
     bead = make_bead("b")
-    placement = cluster.place_beads([bead], PlacementPolicy(3), 8)
+    placement = cluster.place_beads([bead], 3, 8)
     first = placement[0][1]
     assert cluster.retrieve_bead("b", placement) is cluster.nodes[first].beads["b"]
 
@@ -124,7 +129,7 @@ def test_retrieve_respects_listed_order():
 def test_retrieve_ignores_unknown_locations():
     cluster = make_cluster(3)
     bead = make_bead("b")
-    placement = cluster.place_beads([bead], PlacementPolicy(1), 0)
+    placement = cluster.place_beads([bead], 1, 0)
     padded = [("b", "ghost-node")] + placement
     assert cluster.retrieve_bead("b", padded) is bead
 
@@ -134,7 +139,7 @@ def test_retrieve_ignores_unknown_locations():
 def test_fail_restore_cycle_preserves_content():
     cluster = make_cluster(3)
     bead = make_bead("b")
-    placement = cluster.place_beads([bead], PlacementPolicy(3), 1)
+    placement = cluster.place_beads([bead], 3, 1)
     for node_id in list(cluster.nodes):
         cluster.fail_node(node_id)
         cluster.fail_node(node_id)  # idempotent
@@ -176,7 +181,7 @@ def chain_with_placement(placement, file_tag="audited"):
 
 def test_audit_healthy_cluster_has_no_flags():
     cluster = make_cluster(5)
-    placement = cluster.place_beads([make_bead("b")], PlacementPolicy(3), 4)
+    placement = cluster.place_beads([make_bead("b")], 3, 4)
     report = cluster.audit_redundancy(fold_records(chain_with_placement(placement)))
     assert len(report.entries) == 1
     assert report.entries[0].replicas_live == 3
@@ -185,7 +190,7 @@ def test_audit_healthy_cluster_has_no_flags():
 
 def test_audit_flags_under_replicated_bead():
     cluster = make_cluster(5)
-    placement = cluster.place_beads([make_bead("b")], PlacementPolicy(3), 4)
+    placement = cluster.place_beads([make_bead("b")], 3, 4)
     cluster.fail_node(placement[0][1])
     report = cluster.audit_redundancy(fold_records(chain_with_placement(placement)))
     (entry,) = report.flagged
@@ -195,7 +200,7 @@ def test_audit_flags_under_replicated_bead():
 
 def test_audit_with_everything_down():
     cluster = make_cluster(4)
-    placement = cluster.place_beads([make_bead("b")], PlacementPolicy(3), 4)
+    placement = cluster.place_beads([make_bead("b")], 3, 4)
     for node_id in list(cluster.nodes):
         cluster.fail_node(node_id)
     report = cluster.audit_redundancy(fold_records(chain_with_placement(placement)))
@@ -206,7 +211,7 @@ def test_audit_with_everything_down():
 def test_fault_tolerance_exhaustive_six_nodes():
     cluster = make_cluster(6)
     bead = make_bead("exhaustive")
-    placement = cluster.place_beads([bead], PlacementPolicy(3), 99)
+    placement = cluster.place_beads([bead], 3, 99)
     hosts = {n for _, n in placement}
     for mask in range(64):
         failed = {f"n{i}" for i in range(6) if mask >> i & 1}
