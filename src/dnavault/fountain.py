@@ -280,51 +280,58 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
     return (starts - begins).repeat(lengths) + np.arange(lengths.sum()), begins
 
 
+def _holders_by_segment(offsets: np.ndarray, indices: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The droplets holding each segment: segment ``s``'s are ``holders[starts[s]:starts[s + 1]]``, ascending.
+
+    A stable radix sort of the plan entries by segment, 16 bits a pass
+    (one pass while K <= 65,536), with the group starts from their sizes.
+    """
+    order = np.argsort(indices.astype(np.uint16), kind="stable")  # the cast keeps the low 16 bits
+    for shift in range(16, int(k - 1).bit_length(), 16):
+        order = order[np.argsort((indices[order] >> shift).astype(np.uint16), kind="stable")]
+    starts = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=k), out=starts[1:])
+    return np.arange(len(offsets) - 1).repeat(offsets[1:] - offsets[:-1])[order], starts
+
+
 def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | None, k: int):
     """Shared peeling core over CSR index arrays; ``values`` may be None for a structure-only pass.
 
-    Per droplet it keeps the count of unresolved indices and the XOR of
-    them, which is the last index once the count reaches one. Each round
+    Per droplet it keeps the count of unresolved indices. Each round
     resolves every droplet then at count one (one per segment; the rest are
     redundant) and strips the resolved segments from the droplets that hold
-    them; a droplet that resolved or went redundant counts on below zero and
-    never joins a ripple again. The resolved set is the peeling closure, so
-    it does not depend on the order of resolution. With values, a segment
-    resolved by a droplet is the droplet's value XOR every other segment of
-    its plan, all resolved in earlier rounds; the rounds are replayed in
-    order at the end. Returns ``(resolved, segment_values)``: a boolean mask
-    over the K segments and, with values, their ``(K, w)`` values
-    (unresolved rows 0).
+    them by counting those holders; a droplet that resolved or went
+    redundant counts on below zero and never joins a ripple again. The
+    droplets that came down to count one form the next ripple, and a scan
+    of each one's plan row finds its one unresolved index. The resolved set
+    is the peeling closure, so it does not depend on the order of
+    resolution. With values, a segment resolved by a droplet is the
+    droplet's value XOR every other segment of its plan, all resolved in
+    earlier rounds; the rounds are replayed in order at the end. Returns
+    ``(resolved, segment_values)``: a boolean mask over the K segments and,
+    with values, their ``(K, w)`` values (unresolved rows 0).
     """
     n = len(offsets) - 1
     degrees = offsets[1:] - offsets[:-1]
     remaining = degrees.copy()
-    rows = np.arange(n).repeat(degrees)
-    last = np.zeros(n, dtype=np.int64)
-    np.bitwise_xor.at(last, rows, indices)
-    order = np.argsort(indices)
-    holders, held = rows[order], indices[order]  # (droplet, segment) pairs grouped by segment
-    first_holder = np.searchsorted(held, np.arange(k + 1))
+    holders, starts = _holders_by_segment(offsets, indices, k)
     resolved = np.zeros(k, dtype=bool)
-    slot = np.zeros(max(n, k), dtype=np.int64)  # reused buffer: keeps one of several equal entries
+    slot = np.zeros(k, dtype=np.int64)  # reused buffer: keeps one of several droplets resolving a segment
     rounds = []  # (droplets, the segments they resolved) per round
-    ripple = (remaining == 1).nonzero()[0]
+    ripple = np.flatnonzero(remaining == 1)
+    segs = indices[offsets[ripple]]
     while len(ripple):
         remaining[ripple] = 0
-        segs = last[ripple]  # never resolved yet: resolving a segment strips it from every holder
         slot[segs] = ripple
-        ripple = ripple[slot[segs] == ripple]
-        segs = last[ripple]
+        keep = slot[segs] == ripple
+        ripple, segs = ripple[keep], segs[keep]
         resolved[segs] = True
         rounds.append((ripple, segs))
-        edges, _ = _ranges(first_holder[segs], first_holder[segs + 1] - first_holder[segs])
-        hit = holders[edges]
-        np.subtract.at(remaining, hit, 1)
-        np.bitwise_xor.at(last, hit, held[edges])
-        ripple = hit[remaining[hit] == 1]
-        position = np.arange(len(ripple))
-        slot[ripple] = position
-        ripple = ripple[slot[ripple] == position]
+        edges, _ = _ranges(starts[segs], starts[segs + 1] - starts[segs])
+        remaining -= np.bincount(holders[edges], minlength=n)
+        ripple = np.flatnonzero(remaining == 1)
+        plans = indices[_ranges(offsets[ripple], degrees[ripple])[0]]
+        segs = plans[~resolved[plans]]  # exactly one unresolved index per row, in ripple order
     if values is None:
         return resolved, None
     seg_values = np.zeros((k, values.shape[1]), dtype=values.dtype)

@@ -30,6 +30,7 @@ holds blocks the ledger did not verify.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from collections import ChainMap
@@ -423,10 +424,19 @@ def read_ledger(path: Path | str) -> Ledger:
 
     Each line is parsed only once the lines before it have verified, so a
     ``CorruptChain`` (a ValueError) names the height (line number) of the
-    first failure of any kind.
+    first failure of any kind. The cyclic garbage collector is held off
+    while the blocks load (they make many small objects and no cycles) and
+    is left as it was found.
     """
+    data = Path(path).read_bytes()
     loaded = Ledger.__new__(Ledger)
-    loaded._load(_parse_blocks(Path(path).read_bytes()))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loaded._load(_parse_blocks(data))
+    finally:
+        if enabled:
+            gc.enable()
     return loaded
 
 

@@ -224,8 +224,10 @@ def consensus_reads(read_set: ReadSet, segment_size: int) -> np.ndarray:
     seed field. A pool whose rows all agree yields its first row unchanged;
     the other pools are voted together, each row's bases counting once per
     read it stands for, the lowest code (alphabetically first base) winning
-    a tie. Reads whose length is not the frame length have nothing to vote
-    on and yield no consensus.
+    a tie. A voted pool starts from its first row, and the vote is tallied
+    only at the columns where some row of the pool differs from it, since
+    every other column is unanimous. Reads whose length is not the frame
+    length have nothing to vote on and yield no consensus.
     """
     width = OLIGO_HEADER_BYTES + segment_size
     codes = read_set.reads
@@ -248,12 +250,19 @@ def consensus_reads(read_set: ReadSet, segment_size: int) -> np.ndarray:
     ballot = ~agree[pool_group]
     if ballot.any():
         voters, length = pool[ballot], codes.shape[1]
+        weights = read_set.counts[voters]
         box = (np.cumsum(~agree) - 1)[pool_group[ballot]]  # which voted pool each voter is in, ascending
-        cells = (int(box[-1]) + 1) * length  # one per voted pool and column
-        slots = (codes[voters].astype(np.int64) * cells + (box[:, None] * length + np.arange(length))).ravel()
-        tally = np.bincount(slots, read_set.counts[voters].repeat(length), minlength=4 * cells).reshape(4, cells)
-        best = (tally * 4 + np.arange(3, -1, -1)[:, None]).max(axis=0)  # most votes, then the lowest code
-        voted = codes_to_bytes((3 - best % 4).astype(np.uint8).reshape(-1, length))
+        voted = codes[first[~agree]]  # each voted pool starts from its first row
+        who, column = np.nonzero(codes[voters] != voted[box])
+        # Only the (pool, column) cells where some voter differs from the first row are contested. There a
+        # voter that differs votes for its own code, and the rest of the pool's reads for the first row's.
+        cells, cell = np.unique(box[who] * length + column, return_inverse=True)
+        tally = np.bincount(cell * 4 + codes[voters[who], column], weights[who], minlength=4 * len(cells))
+        tally = tally.reshape(-1, 4)
+        flat = voted.reshape(-1)
+        tally[np.arange(len(cells)), flat[cells]] = np.bincount(box, weights)[cells // length] - tally.sum(axis=1)
+        flat[cells] = tally.argmax(axis=1)  # most votes, then the lowest code
+        voted = codes_to_bytes(voted)
         out[~agree], keep[~agree] = voted, frame_crcs(voted) == split_frames(voted)[2]
     seen = np.argsort(order[group_starts])  # groups in the order their first read came
     return out[seen][keep[seen]]

@@ -15,6 +15,7 @@ from dnavault.dna_codec import oligo_codes
 from dnavault.fountain import (
     OligoScreen,
     RobustSoliton,
+    _holders_by_segment,
     _peel_csr,
     droplet_plan,
     oligo_to_droplet,
@@ -198,6 +199,39 @@ def test_csr_peel_matches_reference(case):
     resolved = csr_peel(sets, list(values), k)
     assert resolved == reference_peel(sets, values, k)
     assert all(resolved[i] == segment_values[i] for i in resolved)
+
+
+
+@settings(max_examples=100, deadline=None)
+@given(droplet_sets(), st.permutations(range(30)), st.integers(0, 1000))
+def test_csr_peel_matches_reference_past_one_radix_digit(case, shuffle, spare):
+    # Segment i becomes a segment whose low 16 bits it shares with three others, so K > 65,536
+    # and a second radix pass must order what the first left tied.
+    k, sets, segment_values = case
+    wide = [(shuffle[i] % 4) << 16 | shuffle[i] // 4 for i in range(k)]
+    values = [0] * len(sets)
+    for row, s in enumerate(sets):
+        for i in s:
+            values[row] ^= segment_values[i]
+    wide_sets = [{wide[i] for i in s} for s in sets]
+    wide_k = (3 << 16) + 8 + spare
+    expected = {wide[i]: v for i, v in reference_peel(sets, values, k).items()}
+    assert csr_peel(wide_sets, None, wide_k).keys() == expected.keys()
+    assert csr_peel(wide_sets, list(values), wide_k) == expected
+
+
+@pytest.mark.parametrize("k", [1, 300, 1 << 16, (1 << 16) + 1, (1 << 20) + 3])
+def test_holders_by_segment_matches_a_stable_sort(k):
+    rnd = np.random.default_rng(k)
+    degrees = rnd.integers(0, 6, 400)
+    offsets = np.concatenate(([0], degrees.cumsum()))
+    indices = rnd.integers(0, k, int(offsets[-1]))
+    if k > 1:
+        indices[:40] = k - 1 - (indices[:40] & 0xFFFF)  # ties in the low 16 bits over the top segments
+    holders, starts = _holders_by_segment(offsets, indices, k)
+    order = np.argsort(indices, kind="stable")
+    assert holders.tolist() == np.arange(len(degrees)).repeat(degrees)[order].tolist()
+    assert starts.tolist() == np.searchsorted(indices[order], np.arange(k + 1)).tolist()
 
 
 def test_recoverable_segments_matches_reference_on_plans():

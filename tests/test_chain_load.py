@@ -1,5 +1,6 @@
 """Loading ``chain.jsonl``: the one-dump loader against the two-dump reference, on mutated chains."""
 
+import gc
 import json
 
 import pytest
@@ -160,3 +161,19 @@ def test_non_list_transactions_are_not_canonical(chain_path):
         got, expected = loaded_both_ways(chain_path, with_line(1, canonical_json(raw)))
         assert got == expected
         assert got[:2] == ("corrupt", 1) and "not in canonical form" in got[2]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_load_leaves_the_collector_as_it_found_it(chain_path, enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        chain_path.write_bytes(CHAIN)
+        assert len(read_ledger(chain_path).blocks) == len(LINES)
+        assert gc.isenabled() is enabled
+        chain_path.write_bytes(with_line(2, LINES[2].replace(b'"index":2', b'"index":7')))
+        with pytest.raises(CorruptChain):
+            read_ledger(chain_path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -175,3 +175,14 @@ def test_weighted_consensus_matches_reference_on_expanded_reads(seed, count, rat
     assert rendered(consensus_reads(read_set, SEGMENT)) == reference_consensus(reads, SEGMENT)
     # Without counts every row stands for one read.
     assert matrix_consensus(rows, SEGMENT) == reference_consensus(rows, SEGMENT)
+
+
+def test_a_voted_pool_can_overrule_its_first_row():
+    (clean,) = oligos(1, 11)
+    rnd = random.Random(4)
+    # No clean read. The first row's error at 20 stands for 1 read against 4 for the clean base there; the
+    # later rows' errors at 30 and 40 stand for 2 reads each against 3. Every column goes to the clean base.
+    rows = [mutate(clean, [20], rnd), mutate(clean, [30], rnd), mutate(clean, [40], rnd)]
+    weighted = ReadSet(oligo_codes(rows), np.array([1, 2, 2]))
+    reads = [rows[0]] + [rows[1]] * 2 + [rows[2]] * 2
+    assert rendered(consensus_reads(weighted, SEGMENT)) == reference_consensus(reads, SEGMENT) == [clean]
