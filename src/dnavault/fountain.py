@@ -22,7 +22,10 @@ XORs, frames and screens candidates a batch at a time on numpy arrays and
 hands back a :class:`DropletBatch` (frames, the code rows it screened, CSR
 plans), so no droplet is framed, rendered or planned twice. Decoding plans
 seeds and payload rows in one batch. Both peel with one core over CSR index
-arrays. :class:`Droplet` and the oligo string helpers are edge conversions.
+arrays in linear passes: a radix sort groups the plan entries by segment,
+each round counts the holders of the segments it resolved down with one
+``bincount``, and a scan of a droplet's plan row finds its last unresolved
+segment. :class:`Droplet` and the oligo string helpers are edge conversions.
 """
 
 from __future__ import annotations
@@ -319,8 +322,9 @@ def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | Non
     slot = np.zeros(k, dtype=np.int64)  # reused buffer: keeps one of several droplets resolving a segment
     rounds = []  # (droplets, the segments they resolved) per round
     ripple = np.flatnonzero(remaining == 1)
-    segs = indices[offsets[ripple]]
     while len(ripple):
+        plans = indices[_ranges(offsets[ripple], degrees[ripple])[0]]
+        segs = plans[~resolved[plans]]  # exactly one unresolved index per row, in ripple order
         remaining[ripple] = 0
         slot[segs] = ripple
         keep = slot[segs] == ripple
@@ -330,8 +334,6 @@ def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | Non
         edges, _ = _ranges(starts[segs], starts[segs + 1] - starts[segs])
         remaining -= np.bincount(holders[edges], minlength=n)
         ripple = np.flatnonzero(remaining == 1)
-        plans = indices[_ranges(offsets[ripple], degrees[ripple])[0]]
-        segs = plans[~resolved[plans]]  # exactly one unresolved index per row, in ripple order
     if values is None:
         return resolved, None
     seg_values = np.zeros((k, values.shape[1]), dtype=values.dtype)
