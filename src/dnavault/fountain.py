@@ -31,9 +31,13 @@ segment. :class:`Droplet` and the oligo string helpers are edge conversions.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from bisect import bisect_left
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -156,9 +160,73 @@ def droplet_plan(seed: int, k: int, dist: RobustSoliton) -> tuple[int, list[int]
     return degree, rng.sample_distinct(degree, k)
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_CORES = _usable_cores()
+
+# Seeds per part of a split batch. Splitting a batch of planning between two
+# cores lost below about 7k seeds (3.5k: 5.2 -> 10.1 ms; 7k: 19.7 -> 20.7 ms)
+# and won above (13.9k: 34.8 -> 27.1 ms; 55.7k: 165 -> 98 ms), as GIL
+# hand-offs between small numpy calls outweigh the overlap; so a batch splits
+# only into parts of this size, at least two of them. Small parts taken in
+# turn by the calling thread also keep the workers' malloc arenas small.
+_PART = 8192
+
+
+@cache
+def _pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max(_CORES - 1, 1), thread_name_prefix="dnavault-plan")
+
+
+def _split(work, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``work(seeds)``, whose result is a tuple of arrays with one row per seed (or per plan entry).
+
+    A batch of at least two parts, on more than one usable core, is cut into
+    parts of ``_PART`` seeds: the calling thread and ``_CORES - 1`` pool
+    workers take them in turn, and the results are concatenated in seed
+    order, so they equal the serial call's. ``work`` must not call a traced
+    function: the tracer keeps its operation per thread.
+    """
+    if _CORES < 2 or len(seeds) < 2 * _PART:
+        return work(seeds)
+    parts = [seeds[start : start + _PART] for start in range(0, len(seeds), _PART)]
+    results = [None] * len(parts)
+    todo = deque(range(len(parts)))
+
+    def drain():
+        while True:
+            try:
+                i = todo.popleft()  # deque pops are atomic, so each part runs once
+            except IndexError:
+                return
+            results[i] = work(parts[i])
+
+    helpers = [_pool().submit(drain) for _ in range(min(_CORES, len(parts)) - 1)]
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            if not helper.cancel():  # a helper that never started has nothing to hand back
+                helper.result()
+    return tuple(np.concatenate(column) for column in zip(*results))
+
+
 def plan_droplets(seeds, k: int, dist: RobustSoliton) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`droplet_plan` for many seeds at once, as CSR ``(offsets, indices)``."""
-    return plan_batch(np.asarray(seeds, dtype=np.uint64), dist.cdf, k)
+    """:func:`droplet_plan` for many seeds at once, as CSR ``(offsets, indices)``; large batches split across cores."""
+
+    def plan(part):
+        offsets, indices = plan_batch(part, dist.cdf, k)
+        return offsets[1:] - offsets[:-1], indices
+
+    sizes, indices = _split(plan, np.asarray(seeds, dtype=np.uint64))
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets, indices
 
 
 def _segment_words(payloads: np.ndarray) -> np.ndarray:
@@ -229,6 +297,22 @@ def encode_droplets(
     dist = dist or RobustSoliton(k)
     seg_words = _segment_words(segments)
 
+    def candidates(seeds):
+        """Plan, XOR, frame and screen candidates: the accepted frames, codes, plan sizes and plan indices."""
+        offsets, indices = plan_batch(seeds, dist.cdf, k)
+        n = len(seeds)
+        xored = np.bitwise_xor.reduceat(seg_words[indices], offsets[:-1], axis=0)
+        raw = np.empty((n, OLIGO_HEADER_BYTES + segment_size), dtype=np.uint8)
+        raw[:, :4] = seeds.astype(">u4").view(np.uint8).reshape(n, 4)
+        raw[:, 4:-4] = xored.view(np.uint8)[:, :segment_size]
+        raw[:, -4:] = frame_crcs(raw).astype(">u4").view(np.uint8).reshape(n, 4)
+        codes = bytes_to_codes(raw)
+        if screen is None:
+            return raw, codes, offsets[1:] - offsets[:-1], indices
+        accepted = np.flatnonzero(screen.accepts_codes(codes))
+        sizes = offsets[accepted + 1] - offsets[accepted]
+        return raw[accepted], codes[accepted], sizes, indices[_ranges(offsets[accepted], sizes)[0]]
+
     master = Xorshift64Star(rng_seed)
     kept: list[tuple[np.ndarray, ...]] = []  # per batch: accepted frames, codes, plan sizes and plan indices
     done = 0
@@ -260,19 +344,10 @@ def encode_droplets(
         seeds = values[np.sort(when[when > 0]).astype(np.int64) - 1]
         if not len(seeds):
             continue
-        offsets, indices = plan_droplets(seeds, k, dist)
-        n = len(seeds)
-        xored = np.bitwise_xor.reduceat(seg_words[indices], offsets[:-1], axis=0)
-        raw = np.empty((n, OLIGO_HEADER_BYTES + segment_size), dtype=np.uint8)
-        raw[:, :4] = seeds.astype(">u4").view(np.uint8).reshape(n, 4)
-        raw[:, 4:-4] = xored.view(np.uint8)[:, :segment_size]
-        raw[:, -4:] = frame_crcs(raw).astype(">u4").view(np.uint8).reshape(n, 4)
-        codes = bytes_to_codes(raw)
-        accepted = np.arange(n) if screen is None else np.flatnonzero(screen.accepts_codes(codes))
-        accepted = accepted[:need]
-        sizes = offsets[accepted + 1] - offsets[accepted]
-        kept.append((raw[accepted], codes[accepted], sizes, indices[_ranges(offsets[accepted], sizes)[0]]))
-        done += len(accepted)
+        frames, codes, sizes, indices = _split(candidates, seeds)
+        frames, codes, sizes = frames[:need], codes[:need], sizes[:need]
+        kept.append((frames, codes, sizes, indices[: sizes.sum()]))
+        done += len(frames)
     frames, codes, sizes, indices = (np.concatenate(parts) for parts in zip(*kept))
     return DropletBatch(frames, codes, np.concatenate(([0], sizes.cumsum())), indices)
 
@@ -286,15 +361,19 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
 def _holders_by_segment(offsets: np.ndarray, indices: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The droplets holding each segment: segment ``s``'s are ``holders[starts[s]:starts[s + 1]]``, ascending.
 
-    A stable radix sort of the plan entries by segment, 16 bits a pass
-    (one pass while K <= 65,536), with the group starts from their sizes.
+    One sort of the plan entries' composite keys ``segment << b | droplet``,
+    ``b`` the bit length of the largest droplet number, with the group starts
+    from their sizes.
     """
-    order = np.argsort(indices.astype(np.uint16), kind="stable")  # the cast keeps the low 16 bits
-    for shift in range(16, int(k - 1).bit_length(), 16):
-        order = order[np.argsort((indices[order] >> shift).astype(np.uint16), kind="stable")]
+    n = len(offsets) - 1
+    bits = int(n - 1).bit_length()
+    if k << bits >= 1 << 63:
+        raise ValueError("plan too large: segment-droplet keys would overflow int64")
+    droplets = np.arange(n, dtype=np.int64).repeat(offsets[1:] - offsets[:-1])
+    keys = np.sort(indices.astype(np.int64, copy=False) << bits | droplets)
     starts = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(indices, minlength=k), out=starts[1:])
-    return np.arange(len(offsets) - 1).repeat(offsets[1:] - offsets[:-1])[order], starts
+    return keys & ((1 << bits) - 1), starts
 
 
 def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | None, k: int):

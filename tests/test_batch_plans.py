@@ -1,5 +1,6 @@
 """Batch droplet planning, the matrix screen and the CSR peel against their scalar references."""
 
+import math
 import random
 from bisect import bisect_left
 from collections import Counter
@@ -108,6 +109,51 @@ def test_dense_row_replays_a_rejected_draw():
 def test_plan_batch_rejects_key_overflow():
     with pytest.raises(ValueError):
         plan_batch(np.arange(4, dtype=np.uint64), np.array([1.0]), 2**62)
+
+
+# --- split across cores ------------------------------------------------------------
+
+def test_split_planning_matches_one_batch(monkeypatch):
+    # Two usable cores, whatever the runner has, so a batch of three parts splits.
+    monkeypatch.setattr(fountain, "_CORES", 2)
+    k = 32768
+    dist = RobustSoliton(k)
+    seeds = np.array(random.Random(18).sample(range(2**32), 20000), dtype=np.uint64)
+    parts = []
+    original = fountain.plan_batch
+
+    def counted(part, cumulative, population):
+        parts.append(len(part))
+        return original(part, cumulative, population)
+
+    monkeypatch.setattr(fountain, "plan_batch", counted)
+    offsets, indices = plan_droplets(seeds, k, dist)
+    assert sorted(parts) == [20000 - 2 * fountain._PART, fountain._PART, fountain._PART]
+    whole_offsets, whole_indices = original(seeds, dist.cdf, k)
+    assert np.array_equal(offsets, whole_offsets) and np.array_equal(indices, whole_indices)
+    for i in random.Random(1).sample(range(len(seeds)), 200) + [0, fountain._PART - 1, fountain._PART, len(seeds) - 1]:
+        assert indices[offsets[i] : offsets[i + 1]].tolist() == droplet_plan(int(seeds[i]), k, dist)[1]
+
+
+def test_encode_droplets_is_the_same_on_one_and_two_cores(monkeypatch):
+    segments, _ = fountain.fragment(random.Random(18).randbytes(320 * 1024), 32)
+    count = math.ceil(1.7 * len(segments))  # > 16,384, so the first batch is a full one
+    parts = []
+    original = fountain.plan_batch
+
+    def counted(part, cumulative, population):
+        parts.append(len(part))
+        return original(part, cumulative, population)
+
+    monkeypatch.setattr(fountain, "plan_batch", counted)
+    batches = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(fountain, "_CORES", cores)
+        parts.clear()
+        batches[cores] = fountain.encode_droplets(segments, count, 7, screen=fountain.DEFAULT_SCREEN)
+        assert parts[:cores] == ([fountain._ENCODE_BATCH] if cores == 1 else [fountain._PART] * 2)  # the first batch
+    for field in ("frames", "codes", "offsets", "indices"):
+        assert np.array_equal(getattr(batches[1], field), getattr(batches[2], field)), field
 
 
 # --- matrix screen ----------------------------------------------------------------
