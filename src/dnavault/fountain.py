@@ -21,11 +21,17 @@ and bit-identically to the scalar :func:`droplet_plan`: the encoder plans,
 XORs, frames and screens candidates a batch at a time on numpy arrays and
 hands back a :class:`DropletBatch` (frames, the code rows it screened, CSR
 plans), so no droplet is framed, rendered or planned twice. Decoding plans
-seeds and payload rows in one batch. Both peel with one core over CSR index
-arrays in linear passes: a radix sort groups the plan entries by segment,
-each round counts the holders of the segments it resolved down with one
+seeds and payload rows in one batch. A batch of at least 16,384 seeds (two
+parts of ``_PART``) is split: the calling thread and one pool worker per
+further usable core plan, XOR, frame and screen its parts in turn, and the
+results are joined in seed order, so they equal a serial call's. Both peel
+with one core, on the calling thread, over CSR index arrays in linear
+passes: one sort of composite keys groups the plan entries by segment, each
+round counts the holders of the segments it resolved down with one
 ``bincount``, and a scan of a droplet's plan row finds its last unresolved
-segment. :class:`Droplet` and the oligo string helpers are edge conversions.
+segment. The peel's rounds depend on one another, and the bead reads stay
+serial because the benchmark's tracer keeps its operation per thread.
+:class:`Droplet` and the oligo string helpers are edge conversions.
 """
 
 from __future__ import annotations
@@ -295,13 +301,15 @@ def encode_droplets(
         raise ValueError("count must be positive")
     k, segment_size = segments.shape
     dist = dist or RobustSoliton(k)
-    seg_words = _segment_words(segments)
+    word_columns = np.ascontiguousarray(_segment_words(segments).T)  # XORed a column at a time: smaller gathers
 
     def candidates(seeds):
         """Plan, XOR, frame and screen candidates: the accepted frames, codes, plan sizes and plan indices."""
         offsets, indices = plan_batch(seeds, dist.cdf, k)
         n = len(seeds)
-        xored = np.bitwise_xor.reduceat(seg_words[indices], offsets[:-1], axis=0)
+        xored = np.empty((n, len(word_columns)), dtype=np.uint64)
+        for w, column in enumerate(word_columns):
+            xored[:, w] = np.bitwise_xor.reduceat(column[indices], offsets[:-1])
         raw = np.empty((n, OLIGO_HEADER_BYTES + segment_size), dtype=np.uint8)
         raw[:, :4] = seeds.astype(">u4").view(np.uint8).reshape(n, 4)
         raw[:, 4:-4] = xored.view(np.uint8)[:, :segment_size]
@@ -369,11 +377,13 @@ def _holders_by_segment(offsets: np.ndarray, indices: np.ndarray, k: int) -> tup
     bits = int(n - 1).bit_length()
     if k << bits >= 1 << 63:
         raise ValueError("plan too large: segment-droplet keys would overflow int64")
-    droplets = np.arange(n, dtype=np.int64).repeat(offsets[1:] - offsets[:-1])
-    keys = np.sort(indices.astype(np.int64, copy=False) << bits | droplets)
+    keys = np.arange(n, dtype=np.int64).repeat(offsets[1:] - offsets[:-1])
+    keys |= indices.astype(np.int64, copy=False) << bits
+    keys.sort()
+    keys &= (1 << bits) - 1  # now the holders
     starts = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(indices, minlength=k), out=starts[1:])
-    return keys & ((1 << bits) - 1), starts
+    return keys, starts
 
 
 def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | None, k: int):
