@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from bisect import bisect_left
 from collections import Counter
 
@@ -154,6 +156,40 @@ def test_encode_droplets_is_the_same_on_one_and_two_cores(monkeypatch):
         assert parts[:cores] == ([fountain._ENCODE_BATCH] if cores == 1 else [fountain._PART] * 2)  # the first batch
     for field in ("frames", "codes", "offsets", "indices"):
         assert np.array_equal(getattr(batches[1], field), getattr(batches[2], field)), field
+
+
+def test_split_runs_each_part_once_and_joins_them_in_order(monkeypatch):
+    # More workers than this box has cores, and thread switches as often as the interpreter allows.
+    monkeypatch.setattr(fountain, "_CORES", 4)
+    fountain._pool.cache_clear()
+    seeds = np.arange(40 * fountain._PART + 5, dtype=np.uint64)
+    ran, failures = [], []
+
+    def work(part):
+        ran.append(int(part[0]))
+        return part * 2, part[:1]
+
+    def stress():
+        try:
+            for _ in range(5):
+                ran.clear()
+                doubled, firsts = fountain._split(work, seeds)
+                assert np.array_equal(doubled, seeds * 2)
+                assert sorted(ran) == firsts.tolist() == list(range(0, len(seeds), fountain._PART))
+        except Exception as exc:  # noqa: BLE001 - reported by the test thread below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=stress)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        fountain._pool.cache_clear()
+    assert not runner.is_alive(), "the split did not finish"
+    assert not failures, failures
 
 
 # --- matrix screen ----------------------------------------------------------------
