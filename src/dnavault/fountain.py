@@ -41,7 +41,6 @@ import os
 import struct
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 
@@ -185,7 +184,9 @@ _PART = 8192
 
 
 @cache
-def _pool() -> ThreadPoolExecutor:
+def _pool():
+    from concurrent.futures import ThreadPoolExecutor  # here, not at the top: its import costs every process ~8 ms
+
     return ThreadPoolExecutor(max(_CORES - 1, 1), thread_name_prefix="dnavault-plan")
 
 
