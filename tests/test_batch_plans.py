@@ -115,23 +115,28 @@ def test_plan_batch_rejects_key_overflow():
 
 # --- split across cores ------------------------------------------------------------
 
+def record_part_sizes(monkeypatch) -> list[int]:
+    """The seed counts of the ``plan_batch`` calls ``fountain`` makes from here on, in call order."""
+    parts = []
+
+    def counted(part, cumulative, population):
+        parts.append(len(part))
+        return plan_batch(part, cumulative, population)
+
+    monkeypatch.setattr(fountain, "plan_batch", counted)
+    return parts
+
+
 def test_split_planning_matches_one_batch(monkeypatch):
     # Two usable cores, whatever the runner has, so a batch of three parts splits.
     monkeypatch.setattr(fountain, "_CORES", 2)
     k = 32768
     dist = RobustSoliton(k)
     seeds = np.array(random.Random(18).sample(range(2**32), 20000), dtype=np.uint64)
-    parts = []
-    original = fountain.plan_batch
-
-    def counted(part, cumulative, population):
-        parts.append(len(part))
-        return original(part, cumulative, population)
-
-    monkeypatch.setattr(fountain, "plan_batch", counted)
+    parts = record_part_sizes(monkeypatch)
     offsets, indices = plan_droplets(seeds, k, dist)
     assert sorted(parts) == [20000 - 2 * fountain._PART, fountain._PART, fountain._PART]
-    whole_offsets, whole_indices = original(seeds, dist.cdf, k)
+    whole_offsets, whole_indices = plan_batch(seeds, dist.cdf, k)
     assert np.array_equal(offsets, whole_offsets) and np.array_equal(indices, whole_indices)
     for i in random.Random(1).sample(range(len(seeds)), 200) + [0, fountain._PART - 1, fountain._PART, len(seeds) - 1]:
         assert indices[offsets[i] : offsets[i + 1]].tolist() == droplet_plan(int(seeds[i]), k, dist)[1]
@@ -140,14 +145,7 @@ def test_split_planning_matches_one_batch(monkeypatch):
 def test_encode_droplets_is_the_same_on_one_and_two_cores(monkeypatch):
     segments, _ = fountain.fragment(random.Random(18).randbytes(320 * 1024), 32)
     count = math.ceil(1.7 * len(segments))  # > 16,384, so the first batch is a full one
-    parts = []
-    original = fountain.plan_batch
-
-    def counted(part, cumulative, population):
-        parts.append(len(part))
-        return original(part, cumulative, population)
-
-    monkeypatch.setattr(fountain, "plan_batch", counted)
+    parts = record_part_sizes(monkeypatch)
     batches = {}
     for cores in (1, 2):
         monkeypatch.setattr(fountain, "_CORES", cores)
@@ -302,6 +300,11 @@ def test_holders_by_segment_matches_a_stable_sort(k):
     order = np.argsort(indices, kind="stable")
     assert holders.tolist() == np.arange(len(degrees)).repeat(degrees)[order].tolist()
     assert starts.tolist() == np.searchsorted(indices[order], np.arange(k + 1)).tolist()
+
+
+def test_holders_by_segment_rejects_key_overflow():
+    with pytest.raises(ValueError):
+        _holders_by_segment(np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64), 2**62)
 
 
 def test_recoverable_segments_matches_reference_on_plans():
