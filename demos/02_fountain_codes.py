@@ -11,15 +11,19 @@ import math
 import random
 from collections import Counter
 
-from dnavault.errors import InsufficientDroplets
+import numpy as np
+
+from dnavault.dna_codec import oligo_strings
+from dnavault.errors import DecodeFailed
 from dnavault.fountain import (
+    DEFAULT_SOLITON_C,
+    DEFAULT_SOLITON_DELTA,
+    OligoScreen,
     RobustSoliton,
     decode,
-    droplet_to_oligo,
     encode_droplets,
     fragment,
     oligo_to_droplet,
-    screen_oligo,
     split_frames,
 )
 
@@ -30,7 +34,7 @@ print("=" * 70)
 print("1. THE DEGREE DISTRIBUTION")
 print("=" * 70)
 dist = RobustSoliton(K)
-print(f"  K={K}, c={dist.c}, delta={dist.delta}")
+print(f"  K={K}, c={DEFAULT_SOLITON_C}, delta={DEFAULT_SOLITON_DELTA} (fixed: no record stores them)")
 print("  degree | probability")
 for d in range(1, 11):
     bar = "#" * int(dist.probabilities[d - 1] * 120)
@@ -43,13 +47,16 @@ print("2. DROPLETS AND THEIR OLIGOS")
 print("=" * 70)
 data = random.Random(2).randbytes(K * SEGMENT - 7)
 segments, length = fragment(data, SEGMENT)
-droplets = encode_droplets(segments, count=int(K * 1.6), rng_seed=42).droplets()
-print(f"  {len(data)} bytes -> {len(segments)} segments -> {len(droplets)} droplets")
-print("  sampled degrees:", dict(sorted(Counter(d.degree for d in droplets).items())))
-oligo = droplet_to_oligo(droplets[0])
-print(f"  droplet 0: seed={droplets[0].seed}, degree={droplets[0].degree}")
+batch = encode_droplets(segments, count=int(K * 1.6), rng_seed=42)
+degrees = np.diff(batch.offsets).tolist()
+seeds, payloads, _ = split_frames(batch.frames)
+print(f"  {len(data)} bytes -> {len(segments)} segments -> {len(degrees)} droplets")
+print("  sampled degrees:", dict(sorted(Counter(degrees).items())))
+oligo = oligo_strings(batch.codes[:1])[0]
+print(f"  droplet 0: seed={seeds[0]}, degree={degrees[0]}")
 print(f"  as an oligo ({len(oligo)} bases): {oligo[:48]}...")
-print(f"  parses back identically: {oligo_to_droplet(oligo, SEGMENT, K) == droplets[0]}")
+back = oligo_to_droplet(oligo, SEGMENT)
+print(f"  parses back identically: {back.seed == seeds[0] and back.payload == bytes(payloads[0])}")
 
 print()
 print("  one substituted base is always caught by the CRC:")
@@ -64,7 +71,7 @@ print("=" * 70)
 print("3. THE SYNTHESIS SCREEN")
 print("=" * 70)
 for candidate in ("ACGTACGT", "AAAAACGT", "GGGGCCCC"):
-    verdict = screen_oligo(candidate, max_homopolymer=4, gc_min=0.25, gc_max=0.75)
+    verdict = OligoScreen(max_homopolymer=4, gc_min=0.25, gc_max=0.75).accepts(candidate)
     print(f"  {candidate} -> {'pass' if verdict else 'reject'}")
 
 print()
@@ -82,7 +89,7 @@ for overhead in (1.0, 1.1, 1.3, 1.5, 1.7):
         seeds, payloads, _ = split_frames(drops.frames)
         try:
             wins += decode(seeds, payloads, BIG_K, ln) == trial_data
-        except InsufficientDroplets:
+        except DecodeFailed:
             pass
     print(f"  {overhead:8.1f} | {'#' * wins}{'.' * (20 - wins)} {wins}/20")
 print()

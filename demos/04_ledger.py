@@ -13,6 +13,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+from dnavault.errors import CorruptChain
 from dnavault.ledger import (
     CodecParams,
     FileRecord,
@@ -20,11 +21,11 @@ from dnavault.ledger import (
     append_block,
     genesis,
     permission_grant,
+    read_ledger,
     record_create,
     save_chain,
     select_validator,
     verify_chain,
-    verify_chain_file,
 )
 
 validators = [Validator("ant", 1), Validator("bee", 3), Validator("cow", 6)]
@@ -73,7 +74,10 @@ with tempfile.TemporaryDirectory() as tmp:
         tampered = bytearray(blob)
         tampered[pos] ^= 0x01
         path.write_bytes(bytes(tampered))
-        ok, height = verify_chain_file(path)
-        print(f"  flip one bit at byte {pos:4} -> valid={ok}, first failure at height {height}")
+        try:
+            read_ledger(path)
+            print(f"  flip one bit at byte {pos:4} -> undetected")
+        except CorruptChain as exc:
+            print(f"  flip one bit at byte {pos:4} -> CorruptChain, first failure at height {exc.height}")
     path.write_bytes(bytes(blob))
-    print(f"  restored file            -> {verify_chain_file(path)}")
+    print(f"  restored file            -> loads at height {read_ledger(path).tip.index}")

@@ -43,10 +43,8 @@ import numpy as np
 from . import ledger
 from .dna_codec import keystream_encrypt
 from .errors import (
-    DecodeFailed,
     DuplicateFile,
     EmptyInput,
-    InsufficientDroplets,
     IntegrityMismatch,
     NotOwner,
     PermissionDenied,
@@ -95,10 +93,13 @@ class StoreParams:
     coverage: int = 5
 
     def __post_init__(self):
-        if self.segment_size < 1 or self.beads_per_file < 1 or self.replication < 1 or self.coverage < 1:
-            raise ValueError("segment_size, beads_per_file, replication and coverage must be positive")
-        if self.overhead < 1.0:
-            raise ValueError("droplet overhead factor must be at least 1")
+        for name in ("segment_size", "beads_per_file", "replication", "coverage"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, not {value!r}")
+        overhead = self.overhead
+        if isinstance(overhead, bool) or not isinstance(overhead, (int, float)) or not 1 <= overhead < math.inf:
+            raise ValueError(f"overhead must be a finite number of at least 1, not {overhead!r}")
 
     def to_dict(self) -> dict:
         """Every field, the error model as a dict of its own."""
@@ -276,10 +277,7 @@ class StorageContract:
         seeds, payloads, _ = split_frames(np.concatenate(frames))
         first = np.sort(np.unique(seeds, return_index=True)[1])  # a seed read on several beads counts once
 
-        try:
-            data = decode(seeds[first], payloads[first], cp.k, cp.original_length)
-        except InsufficientDroplets as exc:
-            raise DecodeFailed(exc.recovered, exc.needed) from exc
+        data = decode(seeds[first], payloads[first], cp.k, cp.original_length)  # DecodeFailed when peeling stalls
         if key:
             data = keystream_encrypt(data, key)
         if hashlib.sha256(data).hexdigest() != file_hash:

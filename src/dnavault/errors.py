@@ -61,11 +61,13 @@ class EmptyInput(StorageError, ValueError):
     http_status, exit_code = 400, 2
 
 
-class InsufficientDroplets(StorageError):
-    """Peeling stalled before all segments were recovered."""
+class DecodeFailed(StorageError):
+    """Peeling stalled before every segment was recovered, so the file cannot be reconstructed."""
+
+    http_status, exit_code = 500, 9
 
     def __init__(self, recovered: int, needed: int):
-        super().__init__(f"peeling stalled: recovered {recovered} of {needed} segments")
+        super().__init__(f"decode failed: recovered {recovered} of {needed} segments")
         self.recovered = recovered
         self.needed = needed
 
@@ -100,14 +102,6 @@ class InvalidTransaction(StorageError):
         super().__init__(f"transaction {index} invalid: {reason}")
         self.index = index
         self.reason = reason
-
-
-class StaleChain(StorageError):
-    """The chain handed to append_block does not verify."""
-
-    def __init__(self, height: int | None):
-        super().__init__(f"chain fails verification at height {height}")
-        self.height = height
 
 
 class CorruptChain(StorageError, ValueError):
@@ -167,17 +161,6 @@ class NotOwner(StorageError):
     """Permission changes may only be issued by the record owner."""
 
     http_status, exit_code = 403, 6
-
-
-class DecodeFailed(StorageError):
-    """Fountain decoding could not reconstruct the file."""
-
-    http_status, exit_code = 500, 9
-
-    def __init__(self, recovered: int, needed: int):
-        super().__init__(f"decode failed: recovered {recovered} of {needed} segments")
-        self.recovered = recovered
-        self.needed = needed
 
 
 class IntegrityMismatch(StorageError):

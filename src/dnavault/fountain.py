@@ -12,9 +12,10 @@ Wire framing of one droplet as an oligo::
 
 The CRC (standard reflected 0xEDB88320 polynomial, as implemented by
 zlib.crc32) covers seed and payload, so any single-base substitution is
-detected. Degree sampling uses the robust soliton distribution; candidate
-droplets whose oligo fails the biological-plausibility screen (homopolymer
-runs, GC window) are discarded and regenerated from the next seed.
+detected. Degree sampling uses the robust soliton distribution, its c and
+delta fixed because no record stores them; candidate droplets whose oligo
+fails the biological-plausibility screen (homopolymer runs, GC window) are
+discarded and regenerated from the next seed.
 
 Each droplet's plan (degree and segment indices) is derived once, in batch,
 and bit-identically to the scalar :func:`droplet_plan`: the encoder plans,
@@ -31,7 +32,8 @@ round counts the holders of the segments it resolved down with one
 ``bincount``, and a scan of a droplet's plan row finds its last unresolved
 segment. The peel's rounds depend on one another, and the bead reads stay
 serial because the benchmark's tracer keeps its operation per thread.
-:class:`Droplet` and the oligo string helpers are edge conversions.
+The scalar :func:`droplet_plan`, :class:`Droplet` and the one-oligo string
+helpers serve only the tests and ``perfbench/tracing.py`` ``TRACED``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from functools import cache
 import numpy as np
 
 from .dna_codec import bytes_to_codes, bytes_to_dna, dna_to_bytes, oligo_codes
-from .errors import ChecksumMismatch, EmptyInput, InsufficientDroplets, LengthError, ScreenStarvation
+from .errors import ChecksumMismatch, DecodeFailed, EmptyInput, LengthError, ScreenStarvation
 from .rng import Xorshift64Star, plan_batch
 
 DEFAULT_SOLITON_C = 0.1
@@ -61,7 +63,6 @@ class Droplet:
     seed: int
     payload: bytes
     checksum: int
-    degree: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +75,6 @@ class DropletBatch:
     offsets: np.ndarray
     indices: np.ndarray
 
-    def droplets(self) -> list[Droplet]:
-        """The rows as :class:`Droplet` objects, degrees filled."""
-        seeds, payloads, checksums = split_frames(self.frames)
-        return list(map(Droplet, seeds.tolist(), map(bytes, payloads), checksums.tolist(), np.diff(self.offsets).tolist()))
-
 
 class RobustSoliton:
     """Degree distribution over 1..K used for droplet generation.
@@ -88,16 +84,10 @@ class RobustSoliton:
     R = c * ln(K/delta) * sqrt(K); normalized to sum to one.
     """
 
-    def __init__(self, k: int, c: float = DEFAULT_SOLITON_C, delta: float = DEFAULT_SOLITON_DELTA):
+    def __init__(self, k: int):
         if k < 1:
             raise ValueError("segment count must be positive")
-        if c <= 0:
-            raise ValueError("c must be positive")
-        if not 0 < delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
         self.k = k
-        self.c = c
-        self.delta = delta
 
         # Built with numpy in the scalar loop's arithmetic; the left-to-right cumsum totals as Python's
         # float sum did before 3.12 switched it to compensated summation, so the CDF is one on every interpreter.
@@ -105,12 +95,12 @@ class RobustSoliton:
         weights = np.zeros(k + 1)
         weights[1] = 1.0 / k
         weights[2:] = 1.0 / (d[2:] * (d[2:] - 1))
-        r = c * math.log(k / delta) * math.sqrt(k)
+        r = DEFAULT_SOLITON_C * math.log(k / DEFAULT_SOLITON_DELTA) * math.sqrt(k)
         spike = int(k / r) if r > 0 else 0
         ripple = d[1 : min(spike, k + 1)]
         weights[ripple] += r / (ripple * k)
         if 1 <= spike <= k:
-            weights[spike] += r * math.log(r / delta) / k
+            weights[spike] += r * math.log(r / DEFAULT_SOLITON_DELTA) / k
         self.probabilities = weights[1:] / np.cumsum(weights)[-1]
         self.cdf = np.cumsum(self.probabilities)
         self.cdf[-1] = 1.0
@@ -129,7 +119,8 @@ class OligoScreen:
     gc_max: float = 0.75
 
     def accepts(self, seq: str) -> bool:
-        return screen_oligo(seq, self.max_homopolymer, self.gc_min, self.gc_max)
+        """:meth:`accepts_codes` on one string (the empty one passes); kept for ``perfbench/tracing.py`` ``TRACED``."""
+        return not seq or bool(self.accepts_codes(oligo_codes([seq]))[0])
 
     def accepts_codes(self, codes: np.ndarray) -> np.ndarray:
         """Which rows of an ``(n, L)`` matrix of base codes (A=0 .. T=3, L >= 1) pass the screen.
@@ -159,7 +150,7 @@ def fragment(data: bytes, segment_size: int) -> tuple[np.ndarray, int]:
 
 
 def droplet_plan(seed: int, k: int, dist: RobustSoliton) -> tuple[int, list[int]]:
-    """Degree and sorted segment indices determined by a droplet seed."""
+    """Degree and sorted segment indices from a droplet seed; the tests' scalar reference for :func:`plan_droplets`."""
     rng = Xorshift64Star(seed)
     degree = min(dist.sample(rng), k)
     return degree, rng.sample_distinct(degree, k)
@@ -223,11 +214,12 @@ def _split(work, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(column) for column in zip(*results))
 
 
-def plan_droplets(seeds, k: int, dist: RobustSoliton) -> tuple[np.ndarray, np.ndarray]:
+def plan_droplets(seeds, k: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`droplet_plan` for many seeds at once, as CSR ``(offsets, indices)``; large batches split across cores."""
+    cdf = RobustSoliton(k).cdf
 
     def plan(part):
-        offsets, indices = plan_batch(part, dist.cdf, k)
+        offsets, indices = plan_batch(part, cdf, k)
         return offsets[1:] - offsets[:-1], indices
 
     sizes, indices = _split(plan, np.asarray(seeds, dtype=np.uint64))
@@ -283,7 +275,6 @@ def encode_droplets(
     segments: np.ndarray,
     count: int,
     rng_seed: int,
-    dist: RobustSoliton | None = None,
     *,
     screen: OligoScreen | None = None,
 ) -> DropletBatch:
@@ -301,12 +292,12 @@ def encode_droplets(
     if count < 1:
         raise ValueError("count must be positive")
     k, segment_size = segments.shape
-    dist = dist or RobustSoliton(k)
+    cdf = RobustSoliton(k).cdf
     word_columns = np.ascontiguousarray(_segment_words(segments).T)  # XORed a column at a time: smaller gathers
 
     def candidates(seeds):
         """Plan, XOR, frame and screen candidates: the accepted frames, codes, plan sizes and plan indices."""
-        offsets, indices = plan_batch(seeds, dist.cdf, k)
+        offsets, indices = plan_batch(seeds, cdf, k)
         n = len(seeds)
         xored = np.empty((n, len(word_columns)), dtype=np.uint64)
         for w, column in enumerate(word_columns):
@@ -445,44 +436,27 @@ def recoverable_segments(offsets: np.ndarray, indices: np.ndarray, k: int) -> in
     return int(_peel_csr(offsets, indices, None, k)[0].sum())
 
 
-def decode(
-    seeds: np.ndarray,
-    payloads: np.ndarray,
-    k: int,
-    original_length: int,
-    dist: RobustSoliton | None = None,
-) -> bytes:
+def decode(seeds: np.ndarray, payloads: np.ndarray, k: int, original_length: int) -> bytes:
     """Peel distinct droplets, given as seeds and ``(n, segment_size)`` payload rows, back into the original bytes.
 
-    ``dist`` must match the encoder's distribution (defaults agree with
-    :func:`encode_droplets`). Raises :class:`InsufficientDroplets` with the
-    recovered count when peeling stalls.
+    Raises :class:`DecodeFailed` with the recovered count when peeling stalls.
     """
-    offsets, indices = plan_droplets(seeds, k, dist or RobustSoliton(k))
+    offsets, indices = plan_droplets(seeds, k)
     resolved, seg_values = _peel_csr(offsets, indices, _segment_words(payloads), k)
     recovered = int(resolved.sum())
     if recovered < k:
-        raise InsufficientDroplets(recovered, k)
+        raise DecodeFailed(recovered, k)
     return seg_values.view(np.uint8)[:, : payloads.shape[1]].tobytes()[:original_length]
 
 
 def droplet_to_oligo(droplet: Droplet) -> str:
-    """Frame a droplet as bases: seed || payload || CRC-32, 4 bases per byte."""
+    """Frame a droplet as bases (seed || payload || CRC-32, 4 a byte); kept for ``perfbench/tracing.py`` ``TRACED``."""
     raw = struct.pack(">I", droplet.seed) + droplet.payload + struct.pack(">I", droplet.checksum)
     return bytes_to_dna(raw)
 
 
-def oligo_to_droplet(
-    seq: str,
-    segment_size: int,
-    k: int | None = None,
-    dist: RobustSoliton | None = None,
-) -> Droplet:
-    """Parse and CRC-check an oligo.
-
-    The degree field is only reconstructible from (seed, K, distribution);
-    pass ``k`` (and optionally ``dist``) to fill it, otherwise it is None.
-    """
+def oligo_to_droplet(seq: str, segment_size: int) -> Droplet:
+    """Parse and CRC-check one oligo; kept for ``perfbench/tracing.py`` ``TRACED``."""
     expected = 4 * (OLIGO_HEADER_BYTES + segment_size)
     if len(seq) != expected:
         raise LengthError(f"oligo length {len(seq)} != expected {expected} bases")
@@ -491,12 +465,4 @@ def oligo_to_droplet(
     seed, checksum = int(seeds[0]), int(checksums[0])
     if frame_crcs(frame)[0] != checksum:
         raise ChecksumMismatch(f"oligo with seed {seed} failed its CRC check")
-    degree = None
-    if k is not None:
-        degree = droplet_plan(seed, k, dist or RobustSoliton(k))[0]
-    return Droplet(seed, frame[0, 4:-4].tobytes(), checksum, degree)
-
-
-def screen_oligo(seq: str, max_homopolymer: int, gc_min: float, gc_max: float) -> bool:
-    """True iff no homopolymer run exceeds the cap and GC fraction is in range; the empty sequence passes."""
-    return not seq or bool(OligoScreen(max_homopolymer, gc_min, gc_max).accepts_codes(oligo_codes([seq]))[0])
+    return Droplet(seed, frame[0, 4:-4].tobytes(), checksum)

@@ -38,7 +38,7 @@ from collections.abc import Iterable, MutableMapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import CorruptChain, InvalidTransaction, NoStake, StaleChain, UnknownFile
+from .errors import CorruptChain, InvalidTransaction, NoStake, UnknownFile
 
 GENESIS_PREV_HASH = "0" * 64
 GENESIS_VALIDATOR = "genesis"
@@ -235,18 +235,12 @@ def _apply_transaction(state: MutableMapping[str, FileRecord], tx: dict) -> tupl
 
 
 def fold_records(chain: list[Block]) -> dict[str, FileRecord]:
-    """Replay the chain into its effective file_hash -> record state."""
+    """Replay the chain into its file_hash -> record state; kept for ``perfbench/tracing.py`` ``TRACED``."""
     state: dict[str, FileRecord] = {}
     for block in chain:
         for tx in block.transactions:
             _apply_transaction(state, tx)
     return state
-
-
-def validate_transaction(chain: list[Block], tx: dict) -> tuple[bool, str]:
-    """Would ``tx`` be valid appended right after ``chain``? Returns (ok, reason)."""
-    state = fold_records(chain)
-    return _apply_transaction(state, tx)
 
 
 class Ledger:
@@ -343,14 +337,10 @@ class Ledger:
 def append_block(chain: list[Block], transactions: list[dict], validators: list[Validator], timestamp: int) -> Block:
     """Extend the chain by one proposer-selected block holding ``transactions``.
 
-    The chain is re-verified first; each transaction must be valid in its
-    prefix context (earlier transactions of the same block included).
+    ``Ledger(chain).append`` on the list: the chain is re-verified first (``CorruptChain``) and each
+    transaction checked in its prefix context. Kept for ``perfbench/tracing.py`` ``TRACED``.
     """
-    try:
-        current = Ledger(chain)
-    except CorruptChain as exc:
-        raise StaleChain(exc.height) from None
-    block = current.append(transactions, validators, timestamp)
+    block = Ledger(chain).append(transactions, validators, timestamp)
     chain.append(block)
     return block
 
@@ -368,7 +358,7 @@ def verify_chain(chain: list[Block]) -> tuple[bool, int | None]:
 
 
 def find_record(chain: list[Block], file_hash: str) -> FileRecord:
-    """The record for ``file_hash`` with grants/revokes folded in chain order."""
+    """The record for ``file_hash``, grants/revokes folded in chain order; kept for ``perfbench/tracing.py`` ``TRACED``."""
     state = fold_records(chain)
     record = state.get(file_hash)
     if record is None:
@@ -441,21 +431,5 @@ def read_ledger(path: Path | str) -> Ledger:
 
 
 def load_chain(path: Path | str) -> list[Block]:
-    """Load and fully verify a persisted chain; raises ValueError on tampering."""
+    """``read_ledger(path).blocks``: ``CorruptChain`` on tampering; kept for ``perfbench/tracing.py`` ``TRACED``."""
     return read_ledger(path).blocks
-
-
-def verify_chain_file(path: Path | str) -> tuple[bool, int | None]:
-    """Byte-level verification of ``chain.jsonl``.
-
-    Any deviation -- unparsable line, non-canonical bytes, broken hash or
-    link, invalid transaction -- reports the height (line number) of the
-    first failure.
-    """
-    try:
-        read_ledger(path)
-    except OSError:
-        return False, 0
-    except CorruptChain as exc:
-        return False, exc.height
-    return True, None

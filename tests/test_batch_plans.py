@@ -61,7 +61,7 @@ seeds_st = st.lists(st.integers(0, 2**32 - 1), max_size=96)
 @given(seeds=seeds_st, k=st.sampled_from([1, 2, 3, 4, 5, 8, 17, 64, 100, 1000, 1024, 3000, 2**15]))
 def test_plan_droplets_matches_droplet_plan(seeds, k):
     dist = RobustSoliton(k)
-    assert rows(*plan_droplets(seeds, k, dist)) == [droplet_plan(s, k, dist)[1] for s in seeds]
+    assert rows(*plan_droplets(seeds, k)) == [droplet_plan(s, k, dist)[1] for s in seeds]
 
 
 @settings(max_examples=80, deadline=None)
@@ -94,7 +94,7 @@ def test_plan_droplets_matches_over_many_seeds(k):
     # Enough rows that long streams and, at K = 32768, dense rows occur.
     dist = RobustSoliton(k)
     seeds = random.Random(k).sample(range(2**32), 2000)
-    assert rows(*plan_droplets(seeds, k, dist)) == [droplet_plan(s, k, dist)[1] for s in seeds]
+    assert rows(*plan_droplets(seeds, k)) == [droplet_plan(s, k, dist)[1] for s in seeds]
 
 
 def test_dense_row_replays_a_rejected_draw():
@@ -134,7 +134,7 @@ def test_split_planning_matches_one_batch(monkeypatch):
     dist = RobustSoliton(k)
     seeds = np.array(random.Random(18).sample(range(2**32), 20000), dtype=np.uint64)
     parts = record_part_sizes(monkeypatch)
-    offsets, indices = plan_droplets(seeds, k, dist)
+    offsets, indices = plan_droplets(seeds, k)
     assert sorted(parts) == [20000 - 2 * fountain._PART, fountain._PART, fountain._PART]
     whole_offsets, whole_indices = plan_batch(seeds, dist.cdf, k)
     assert np.array_equal(offsets, whole_offsets) and np.array_equal(indices, whole_indices)
@@ -198,8 +198,8 @@ def test_split_runs_each_part_once_and_joins_them_in_order(monkeypatch):
     run=st.integers(0, 6),
     bounds=st.tuples(st.sampled_from([0.0, 0.25, 0.3, 0.5]), st.sampled_from([0.5, 0.6, 0.75, 1.0])),
 )
-def test_matrix_screen_matches_screen_oligo(seqs, run, bounds):
-    """The matrix screen against the scalar reference (``screen_oligo`` itself now runs the matrix screen)."""
+def test_matrix_screen_matches_the_scalar_screen(seqs, run, bounds):
+    """The matrix screen against the scalar reference (``OligoScreen.accepts`` itself runs the matrix screen)."""
     length = max(len(s) for s in seqs)
     seqs = [(s * length)[:length] for s in seqs]  # one length per matrix; repetition makes long runs
     screen = OligoScreen(run, *bounds)
@@ -314,7 +314,7 @@ def test_recoverable_segments_matches_reference_on_plans():
         dist = RobustSoliton(k)
         seeds = rnd.sample(range(2**32), rnd.randint(k // 2, 2 * k))
         sets = [droplet_plan(s, k, dist)[1] for s in seeds]
-        assert recoverable_segments(*plan_droplets(seeds, k, dist), k) == len(reference_peel(sets, None, k))
+        assert recoverable_segments(*plan_droplets(seeds, k), k) == len(reference_peel(sets, None, k))
         if trial % 10 == 0:  # values too
             segment_values = [rnd.getrandbits(64) for _ in range(k)]
             values = [0] * len(sets)

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, local/HTTP parity, chain verify on tampered files."""
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -85,6 +86,21 @@ def test_perms_lifecycle(capsys, state, stored_file, tmp_path):
     code, _, _ = run_cli(capsys, "--state", state, "perms", "revoke", h, "bob", "--owner", "alice")
     assert code == 0
     assert run_cli(capsys, "--state", state, "download", h, "--as", "bob", "--out", str(out_path))[0] == 5
+
+
+@pytest.mark.parametrize("name, value", [("overhead", math.inf), ("overhead", math.nan), ("segment_size", 2.5), ("segment_size", True)])
+def test_a_store_setting_no_upload_can_use_fails_every_command_with_one_line(capsys, state, stored_file, name, value):
+    assert run_cli(capsys, "--state", state, "upload", str(stored_file), "--owner", "alice")[0] == 0
+    path = f"{state}/config.json"
+    with open(path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["store"][name] = value  # json writes the floats as Infinity and NaN, which it reads back
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    for argv in (["upload", str(stored_file), "--owner", "bob"], ["chain", "verify"], ["nodes", "list"]):
+        code, out, err = run_cli(capsys, "--state", state, *argv)
+        assert (code, out) == (2, ""), (argv, code, err)
+        assert err.startswith(f"{name} must be") and err.count("\n") == 1, (argv, err)
 
 
 def test_chain_show_and_verify(capsys, state, stored_file):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnavault.dna_codec import bytes_to_dna, dna_to_bytes, oligo_codes, oligo_strings
-from dnavault.fountain import droplet_to_oligo, encode_droplets, fragment
+from dnavault.fountain import encode_droplets, fragment
 from dnavault.synthesis import ErrorModel, ReadSet, consensus_reads, sequence_bead, synthesize
 
 BASES = "ACGT"
@@ -58,7 +58,7 @@ def reference_consensus(reads: list[str], segment_size: int) -> list[str]:
 def oligos(count, seed, data_seed=None):
     data = random.Random(seed if data_seed is None else data_seed).randbytes(count * SEGMENT)
     segments, _ = fragment(data, SEGMENT)
-    return [droplet_to_oligo(d) for d in encode_droplets(segments, count, rng_seed=seed).droplets()]
+    return oligo_strings(encode_droplets(segments, count, rng_seed=seed).codes)
 
 
 def mutate(read, positions, rnd):

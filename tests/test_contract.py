@@ -1,6 +1,7 @@
 """The upload/download workflow across codec, synthesis, cluster and ledger."""
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -258,9 +259,20 @@ def test_persistence_writes_chain_and_beads(tmp_path):
 
 
 def test_store_params_validation():
-    with pytest.raises(ValueError):
-        StoreParams(overhead=0.5)
-    with pytest.raises(ValueError):
-        StoreParams(segment_size=0)
-    with pytest.raises(ValueError):
-        StoreParams(coverage=0)
+    for name, value in [
+        ("overhead", 0.5),
+        ("segment_size", 0),
+        ("coverage", 0),
+        ("overhead", math.inf),
+        ("overhead", math.nan),
+        ("overhead", True),
+        ("overhead", "1.7"),
+        ("segment_size", 2.5),
+        ("segment_size", True),
+        ("beads_per_file", 4.0),
+        ("replication", False),
+        ("coverage", "5"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            StoreParams(**{name: value})
+    assert StoreParams(overhead=2).overhead == 2

@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from dnavault.errors import InvalidTransaction, NoStake, StaleChain, UnknownFile
+from dnavault.errors import CorruptChain, InvalidTransaction, NoStake, UnknownFile
 from dnavault.ledger import (
     Block,
     CodecParams,
     FileRecord,
+    Ledger,
     Validator,
     append_block,
     append_chain_file,
@@ -21,12 +22,11 @@ from dnavault.ledger import (
     load_chain,
     permission_grant,
     permission_revoke,
+    read_ledger,
     record_create,
     save_chain,
     select_validator,
-    validate_transaction,
     verify_chain,
-    verify_chain_file,
 )
 
 VALIDATORS = [Validator("v-a", 1), Validator("v-b", 3), Validator("v-c", 6)]
@@ -42,6 +42,15 @@ def sample_record(tag: str, owner: str = "alice") -> FileRecord:
         permissions=set(),
         codec_params=CodecParams(4, 32, 100),
     )
+
+
+def verify_file(path) -> tuple[bool, int | None]:
+    """``read_ledger`` as a verdict: (True, None), or (False, the ``CorruptChain`` height)."""
+    try:
+        read_ledger(path)
+    except CorruptChain as exc:
+        return False, exc.height
+    return True, None
 
 
 def three_block_chain() -> list[Block]:
@@ -159,21 +168,25 @@ def test_append_is_deterministic():
 def test_append_requires_valid_chain():
     chain = [genesis()]
     forged = Block(1, "f" * 64, 1, "evil", (), "0" * 64)
-    with pytest.raises(StaleChain):
+    with pytest.raises(CorruptChain) as info:
         append_block(chain + [forged], [], VALIDATORS, 2)
+    assert info.value.height == 1
 
 
-def test_validate_transaction_reasons():
-    chain = [genesis()]
+def test_append_reports_transaction_reasons():
+    book = Ledger()
     rec = sample_record("perm")
-    assert validate_transaction(chain, record_create(rec)) == (True, "ok")
-    ok, reason = validate_transaction(chain, permission_grant(rec.file_hash, "alice", "bob"))
-    assert (ok, reason) == (False, "UnknownFile")
-    append_block(chain, [record_create(rec)], VALIDATORS, 1)
-    ok, reason = validate_transaction(chain, permission_grant(rec.file_hash, "mallory", "bob"))
-    assert (ok, reason) == (False, "NotOwner")
-    assert validate_transaction(chain, permission_grant(rec.file_hash, "alice", "bob"))[0]
-    assert validate_transaction(chain, {"type": "mystery"}) == (False, "MalformedTransaction")
+
+    def reason(tx) -> str:
+        with pytest.raises(InvalidTransaction) as info:
+            book.append([tx], VALIDATORS, 1)
+        return info.value.reason
+
+    assert reason(permission_grant(rec.file_hash, "alice", "bob")) == "UnknownFile"
+    assert book.append([record_create(rec)], VALIDATORS, 1).index == 1
+    assert reason(permission_grant(rec.file_hash, "mallory", "bob")) == "NotOwner"
+    assert reason({"type": "mystery"}) == "MalformedTransaction"
+    assert book.append([permission_grant(rec.file_hash, "alice", "bob")], VALIDATORS, 2).index == 2
 
 
 # --- permissions ------------------------------------------------------------------------
@@ -237,7 +250,7 @@ def test_chain_file_roundtrip(tmp_path):
     save_chain(path, chain)
     loaded = load_chain(path)
     assert [b.block_hash for b in loaded] == [b.block_hash for b in chain]
-    assert verify_chain_file(path) == (True, None)
+    assert verify_file(path) == (True, None)
 
 
 def test_incremental_append_equals_full_save(tmp_path):
@@ -263,11 +276,11 @@ def test_bit_flips_detected_at_correct_height(tmp_path):
             tampered = bytearray(original)
             tampered[pos] ^= bit
             path.write_bytes(bytes(tampered))
-            ok, height = verify_chain_file(path)
+            ok, height = verify_file(path)
             assert not ok, f"flip at byte {pos} went undetected"
             assert height == expected_height, (pos, bit, height, expected_height)
     path.write_bytes(original)
-    assert verify_chain_file(path) == (True, None)
+    assert verify_file(path) == (True, None)
 
 
 def test_non_canonical_line_rejected(tmp_path):
@@ -276,7 +289,7 @@ def test_non_canonical_line_rejected(tmp_path):
     # same JSON value, non-canonical spacing: must fail byte-level verification
     padded = json.dumps(chain[0].to_dict(), sort_keys=True, separators=(", ", ": "))
     path.write_text(padded + "\n")
-    ok, height = verify_chain_file(path)
+    ok, height = verify_file(path)
     assert not ok and height == 0
     with pytest.raises(ValueError):
         load_chain(path)

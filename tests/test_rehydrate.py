@@ -11,7 +11,7 @@ from dnavault.cli import EXIT_USAGE, main
 from dnavault.config import ServiceConfig
 from dnavault.contract import StorageContract
 from dnavault.errors import BeadUnavailable
-from dnavault.ledger import Validator, verify_chain_file
+from dnavault.ledger import Validator, read_ledger
 from dnavault.network import Cluster
 from dnavault.service import StorageService
 
@@ -148,5 +148,5 @@ def test_a_second_contract_on_a_state_directory_continues_its_chain(tmp_path):
     assert second.chain[-1].block_hash == first.chain[-1].block_hash
     assert second.download_file("alice", receipt.file_hash) == FILES[0]
     assert second.upload_file("alice", FILES[1]).block_index == 2
-    assert verify_chain_file(tmp_path / "chain.jsonl") == (True, None)
+    assert read_ledger(tmp_path / "chain.jsonl").tip.block_hash == second.chain[-1].block_hash
     assert contract().download_file("alice", receipt.file_hash) == FILES[0]

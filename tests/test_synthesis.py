@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dnavault import synthesis
 from dnavault.dna_codec import bytes_to_dna, oligo_codes, oligo_strings
 from dnavault.errors import EmptyBead
-from dnavault.fountain import droplet_to_oligo, encode_droplets, fragment
+from dnavault.fountain import encode_droplets, fragment
 from dnavault.ledger import CodecParams
 from dnavault.rng import Xorshift64Star, derive_seed, substream
 from dnavault.synthesis import (
@@ -35,8 +35,7 @@ BASES = "ACGT"
 def make_oligos(count=12, segment_size=8, seed=0):
     data = random.Random(seed).randbytes(count * segment_size)
     segments, length = fragment(data, segment_size)
-    droplets = encode_droplets(segments, count, rng_seed=seed).droplets()
-    return [droplet_to_oligo(d) for d in droplets]
+    return oligo_strings(encode_droplets(segments, count, rng_seed=seed).codes)
 
 
 def synth(oligos, model, bead_id):
@@ -383,7 +382,7 @@ CODEC = CodecParams(4, 8, 32)  # what make_oligos(count=4) encodes
 def test_bead_save_load_roundtrip(tmp_path):
     segments, length = fragment(b"persist me please", 8)
     batch = encode_droplets(segments, 9, rng_seed=31)
-    oligos = [droplet_to_oligo(d) for d in batch.droplets()]
+    oligos = oligo_strings(batch.codes)
     path = save_bead(tmp_path, Bead("disk-bead", batch.codes), CodecParams(len(segments), 8, length))
     assert path == tmp_path / "disk-bead" / "oligos.txt"
     assert path.read_text().splitlines() == [f"#K={len(segments)} SEG=8 LEN={length}", *oligos]
