@@ -97,8 +97,14 @@ def codes_to_bytes(codes: np.ndarray) -> np.ndarray:
 
 
 def bytes_to_codes(raw: np.ndarray) -> np.ndarray:
-    """``(n, B)`` bytes to the ``(n, 4B)`` base codes of :func:`bytes_to_dna`."""
-    return _SPREAD.take(raw).view(np.uint8).reshape(raw.shape[0], 4 * raw.shape[1])
+    """``(n, B)`` bytes to the ``(n, 4B)`` base codes of :func:`bytes_to_dna`.
+
+    Taken 1,024 rows at a time, since a take widens its byte indices to 8 bytes each.
+    """
+    words = np.empty(raw.shape, dtype="<u4")
+    for start in range(0, len(raw), 1024):
+        np.take(_SPREAD, raw[start : start + 1024], out=words[start : start + 1024], mode="clip")
+    return words.view(np.uint8).reshape(raw.shape[0], 4 * raw.shape[1])
 
 
 def dna_to_number(seq: str) -> int:

@@ -126,15 +126,21 @@ class OligoScreen:
         """Which rows of an ``(n, L)`` matrix of base codes (A=0 .. T=3, L >= 1) pass the screen.
 
         A run longer than the cap is ``max_homopolymer`` equal neighbours in a
-        row; the GC fraction is the count of C and G codes over L.
+        row; the GC fraction is the count of C and G codes over L. Rows are
+        screened ``_SCREEN_ROWS`` at a time, which bounds the temporaries.
         """
-        runs = codes[:, 1:] == codes[:, :-1]
-        for _ in range(self.max_homopolymer - 1):
-            runs = runs[:, :-1] & runs[:, 1:]  # now: this many neighbours in a row are equal
-        ok = ~runs.any(axis=1) if self.max_homopolymer > 0 else np.zeros(len(codes), dtype=bool)
-        gc = ((codes == 1) | (codes == 2)).sum(axis=1) / codes.shape[1]
-        return ok & (self.gc_min <= gc) & (gc <= self.gc_max)
+        ok = np.empty(len(codes), dtype=bool)
+        for start in range(0, len(codes), _SCREEN_ROWS):
+            rows = codes[start : start + _SCREEN_ROWS]
+            runs = rows[:, 1:] == rows[:, :-1]
+            for _ in range(self.max_homopolymer - 1):
+                runs = runs[:, :-1] & runs[:, 1:]  # now: this many neighbours in a row are equal
+            gc = ((rows == 1) | (rows == 2)).sum(axis=1) / rows.shape[1]
+            ok[start : start + len(rows)] = (self.max_homopolymer > 0) & ~runs.any(axis=1) & (self.gc_min <= gc) & (gc <= self.gc_max)
+        return ok
 
+
+_SCREEN_ROWS = 1024
 
 DEFAULT_SCREEN = OligoScreen()
 
@@ -181,17 +187,16 @@ def _pool():
     return ThreadPoolExecutor(max(_CORES - 1, 1), thread_name_prefix="dnavault-plan")
 
 
-def _split(work, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``work(seeds)``, whose result is a tuple of arrays with one row per seed (or per plan entry).
+def _parts(work, seeds: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """``work`` on ``seeds``, as a list of its results in seed order: one, or one per part of a split batch.
 
     A batch of at least two parts, on more than one usable core, is cut into
     parts of ``_PART`` seeds: the calling thread and ``_CORES - 1`` pool
-    workers take them in turn, and the results are concatenated in seed
-    order, so they equal the serial call's. ``work`` must not call a traced
-    function: the tracer keeps its operation per thread.
+    workers take them in turn. ``work`` must not call a traced function: the
+    tracer keeps its operation per thread.
     """
     if _CORES < 2 or len(seeds) < 2 * _PART:
-        return work(seeds)
+        return [work(seeds)]
     parts = [seeds[start : start + _PART] for start in range(0, len(seeds), _PART)]
     results = [None] * len(parts)
     todo = deque(range(len(parts)))
@@ -211,11 +216,24 @@ def _split(work, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
         for helper in helpers:
             if not helper.cancel():  # a helper that never started has nothing to hand back
                 helper.result()
-    return tuple(np.concatenate(column) for column in zip(*results))
+    return results
+
+
+def _split(work, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``work(seeds)``, whose result is a tuple of arrays with one row per seed (or per plan entry), from :func:`_parts`.
+
+    The parts' results are concatenated in seed order, so they equal the serial call's.
+    """
+    results = _parts(work, seeds)
+    return results[0] if len(results) == 1 else tuple(np.concatenate(column) for column in zip(*results))
 
 
 def plan_droplets(seeds, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`droplet_plan` for many seeds at once, as CSR ``(offsets, indices)``; large batches split across cores."""
+    """:func:`droplet_plan` for many seeds at once, as CSR ``(offsets, indices)``; large batches split across cores.
+
+    Raises ``ValueError`` when K reaches 2**31: plans are int32.
+    """
+    _int32_plans(k)
     cdf = RobustSoliton(k).cdf
 
     def plan(part):
@@ -296,41 +314,40 @@ def encode_droplets(
     word_columns = np.ascontiguousarray(_segment_words(segments).T)  # XORed a column at a time: smaller gathers
 
     def candidates(seeds):
-        """Plan, XOR, frame and screen candidates: the accepted frames, codes, plan sizes and plan indices."""
+        """Plan, XOR, frame and screen candidates: all their frames and CSR plans, and which pass."""
         offsets, indices = plan_batch(seeds, cdf, k)
         n = len(seeds)
         xored = np.empty((n, len(word_columns)), dtype=np.uint64)
+        positions = indices.astype(np.intp)  # numpy indexes faster with these than with int32
         for w, column in enumerate(word_columns):
-            xored[:, w] = np.bitwise_xor.reduceat(column[indices], offsets[:-1])
+            xored[:, w] = np.bitwise_xor.reduceat(column[positions], offsets[:-1])
+        del positions
         raw = np.empty((n, OLIGO_HEADER_BYTES + segment_size), dtype=np.uint8)
         raw[:, :4] = seeds.astype(">u4").view(np.uint8).reshape(n, 4)
         raw[:, 4:-4] = xored.view(np.uint8)[:, :segment_size]
         raw[:, -4:] = frame_crcs(raw).astype(">u4").view(np.uint8).reshape(n, 4)
-        codes = bytes_to_codes(raw)
-        if screen is None:
-            return raw, codes, offsets[1:] - offsets[:-1], indices
-        accepted = np.flatnonzero(screen.accepts_codes(codes))
-        sizes = offsets[accepted + 1] - offsets[accepted]
-        return raw[accepted], codes[accepted], sizes, indices[_ranges(offsets[accepted], sizes)[0]]
+        return raw, offsets, indices, np.ones(n, dtype=bool) if screen is None else screen.accepts_codes(bytes_to_codes(raw))
 
     master = Xorshift64Star(rng_seed)
-    kept: list[tuple[np.ndarray, ...]] = []  # per batch: accepted frames, codes, plan sizes and plan indices
+    frames = np.empty((count, OLIGO_HEADER_BYTES + segment_size), dtype=np.uint8)
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    plans = []  # the accepted plan indices of each part, in seed order
     done = 0
     seen = np.zeros(0, dtype=np.uint64)  # every candidate seed drawn so far, sorted
     attempts = 0
     budget = 200 * count + 1000  # screen starvation guard
     while done < count:
         if attempts >= budget:
-            raise ScreenStarvation(f"screen accepted {done} of {count} droplets in {attempts + 1} attempts")
+            raise ScreenStarvation(f"screen accepted {done} of {count} droplets in {attempts} attempts")
         # Size the batch by the accept ratio so far, so that one more batch usually
-        # completes the set; grow it fourfold while nothing has passed the screen.
+        # completes the set; while nothing has passed the screen, draw the rest of the budget.
         need = count - done
         if not attempts:
             want = need
         elif done:
             want = need * attempts // done + 1
         else:
-            want = 4 * attempts
+            want = budget - attempts
         # One round of draws, capped by the budget; a seed drawn before is skipped.
         draws = min(want, _ENCODE_BATCH, budget - attempts)
         attempts += draws
@@ -344,38 +361,60 @@ def encode_droplets(
         seeds = values[np.sort(when[when > 0]).astype(np.int64) - 1]
         if not len(seeds):
             continue
-        frames, codes, sizes, indices = _split(candidates, seeds)
-        frames, codes, sizes = frames[:need], codes[:need], sizes[:need]
-        kept.append((frames, codes, sizes, indices[: sizes.sum()]))
-        done += len(frames)
-    frames, codes, sizes, indices = (np.concatenate(parts) for parts in zip(*kept))
-    return DropletBatch(frames, codes, np.concatenate(([0], sizes.cumsum())), indices)
+        parts = _parts(candidates, seeds)
+        for i in range(len(parts)):
+            raw, part_offsets, indices, accepted = parts[i]
+            parts[i] = None  # each part goes once it is copied
+            accepted &= np.cumsum(accepted) <= count - done  # the first ones that complete the set
+            taken = int(accepted.sum())
+            frames[done : done + taken] = raw[accepted]
+            sizes = part_offsets[1:] - part_offsets[:-1]
+            np.cumsum(sizes[accepted], out=offsets[done + 1 : done + taken + 1])
+            offsets[done + 1 : done + taken + 1] += offsets[done]
+            plans.append(indices[accepted.repeat(sizes)])
+            done += taken
+        del raw, part_offsets, indices, accepted  # not alive during the next batch
+    indices = plans[0] if len(plans) == 1 else np.concatenate(plans)
+    del plans
+    return DropletBatch(frames, bytes_to_codes(frames), offsets, indices)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenation of ``arange(start, start + length)`` over the pairs, and where each range begins in it."""
     begins = lengths.cumsum() - lengths
-    return (starts - begins).repeat(lengths) + np.arange(lengths.sum()), begins
+    positions = (starts - begins).repeat(lengths)
+    positions += np.arange(len(positions))
+    return positions, begins
+
+
+# Plan entries per step of the holder keys' shift; bounds that step's temporary.
+_KEY_CHUNK = 1 << 16
+
+
+def _int32_plans(k: int) -> None:
+    if k >= 1 << 31:
+        raise ValueError(f"K = {k} segments: plans are int32, so K must stay below 2**31")
 
 
 def _holders_by_segment(offsets: np.ndarray, indices: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The droplets holding each segment: segment ``s``'s are ``holders[starts[s]:starts[s + 1]]``, ascending.
+    """The droplets holding each segment: segment ``s``'s are ``holders[starts[s]:starts[s + 1]]``, ascending, int32.
 
-    One sort of the plan entries' composite keys ``segment << b | droplet``,
-    ``b`` the bit length of the largest droplet number, with the group starts
-    from their sizes.
+    One in-place sort of the plan entries' composite keys ``segment << b |
+    droplet``, ``b`` the bit length of the largest droplet number, int32
+    while they fit, with the group starts from their sizes.
     """
+    _int32_plans(k)
     n = len(offsets) - 1
     bits = int(n - 1).bit_length()
     if k << bits >= 1 << 63:
         raise ValueError("plan too large: segment-droplet keys would overflow int64")
-    keys = np.arange(n, dtype=np.int64).repeat(offsets[1:] - offsets[:-1])
-    keys |= indices.astype(np.int64, copy=False) << bits
+    keys = np.arange(n, dtype=np.int32 if k << bits <= 1 << 31 else np.int64).repeat(offsets[1:] - offsets[:-1])
+    for start in range(0, len(keys), _KEY_CHUNK):  # the shifted segments a chunk at a time: no second plan-sized array
+        keys[start : start + _KEY_CHUNK] |= indices[start : start + _KEY_CHUNK].astype(keys.dtype) << bits
     keys.sort()
+    starts = np.searchsorted(keys, ((np.arange(k + 1) << bits) - 1).astype(keys.dtype), side="right")  # keys below s << bits
     keys &= (1 << bits) - 1  # now the holders
-    starts = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(indices, minlength=k), out=starts[1:])
-    return keys, starts
+    return keys.astype(np.int32, copy=False), starts
 
 
 def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | None, k: int):
@@ -391,9 +430,10 @@ def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | Non
     is the peeling closure, so it does not depend on the order of
     resolution. With values, a segment resolved by a droplet is the
     droplet's value XOR every other segment of its plan, all resolved in
-    earlier rounds; the rounds are replayed in order at the end. Returns
-    ``(resolved, segment_values)``: a boolean mask over the K segments and,
-    with values, their ``(K, w)`` values (unresolved rows 0).
+    earlier rounds; the rounds are replayed in order at the end, once the
+    holder index is gone. Returns ``(resolved, segment_values)``: a boolean
+    mask over the K segments and, with values, their ``(K, w)`` values
+    (unresolved rows 0).
     """
     n = len(offsets) - 1
     degrees = offsets[1:] - offsets[:-1]
@@ -404,7 +444,7 @@ def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | Non
     rounds = []  # (droplets, the segments they resolved) per round
     ripple = np.flatnonzero(remaining == 1)
     while len(ripple):
-        plans = indices[_ranges(offsets[ripple], degrees[ripple])[0]]
+        plans = indices[_ranges(offsets[ripple], degrees[ripple])[0]].astype(np.intp)  # faster to index with
         segs = plans[~resolved[plans]]  # exactly one unresolved index per row, in ripple order
         remaining[ripple] = 0
         slot[segs] = ripple
@@ -412,11 +452,11 @@ def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | Non
         ripple, segs = ripple[keep], segs[keep]
         resolved[segs] = True
         rounds.append((ripple, segs))
-        edges, _ = _ranges(starts[segs], starts[segs + 1] - starts[segs])
-        remaining -= np.bincount(holders[edges], minlength=n)
+        remaining -= np.bincount(holders[_ranges(starts[segs], starts[segs + 1] - starts[segs])[0]], minlength=n)
         ripple = np.flatnonzero(remaining == 1)
     if values is None:
         return resolved, None
+    del holders, starts, remaining, slot  # the replay needs none of them
     seg_values = np.zeros((k, values.shape[1]), dtype=values.dtype)
     for droplets, segs in rounds:
         edges, begins = _ranges(offsets[droplets], degrees[droplets])
@@ -431,7 +471,7 @@ def recoverable_segments(offsets: np.ndarray, indices: np.ndarray, k: int) -> in
     Peeling success depends only on the seed-derived index sets, so this is
     a cheap decodability check (no payload XOR work). A
     :class:`DropletBatch` from :func:`encode_droplets` carries its plans, so
-    none is derived again.
+    none is derived again. Raises ``ValueError`` when K reaches 2**31.
     """
     return int(_peel_csr(offsets, indices, None, k)[0].sum())
 
@@ -439,7 +479,8 @@ def recoverable_segments(offsets: np.ndarray, indices: np.ndarray, k: int) -> in
 def decode(seeds: np.ndarray, payloads: np.ndarray, k: int, original_length: int) -> bytes:
     """Peel distinct droplets, given as seeds and ``(n, segment_size)`` payload rows, back into the original bytes.
 
-    Raises :class:`DecodeFailed` with the recovered count when peeling stalls.
+    Raises :class:`DecodeFailed` with the recovered count when peeling
+    stalls, and ``ValueError`` when K reaches 2**31.
     """
     offsets, indices = plan_droplets(seeds, k)
     resolved, seg_values = _peel_csr(offsets, indices, _segment_words(payloads), k)

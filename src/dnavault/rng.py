@@ -207,33 +207,53 @@ def _draw(states: np.ndarray, need: np.ndarray) -> np.ndarray:
         out[src + length] = _jump(_JUMPS[length.bit_length() - 1], out[src])
         length *= 2
     states[:] = out[starts + need - 1]
-    return out * np.uint64(_STAR)
+    out *= np.uint64(_STAR)
+    return out
 
 
-def _fisher_yates(rows: np.ndarray, states: np.ndarray, counts: np.ndarray, population: int) -> np.ndarray:
-    """Unsorted keys ``row * population + value`` of ``sample_distinct``'s partial Fisher-Yates branch.
+def _fisher_yates(states: np.ndarray, counts: np.ndarray, population: int) -> np.ndarray:
+    """Each row's sample from ``sample_distinct``'s partial Fisher-Yates branch, sorted, the rows concatenated in order.
 
-    Step ``i`` swaps in ``i + randbelow(population - i)``, on draws taken in
-    one batch; a row with a draw ``randbelow`` would reject (odds below
-    ``count * population / 2**64``) replays the scalar class instead.
+    Step ``i`` swaps positions ``i`` and ``j = i + randbelow(population - i)``,
+    on draws taken in one batch. No later step swaps position ``i`` again, and
+    position ``j`` holds what the last earlier step targeting ``j`` put there:
+    the value that step's own position held before it. A position that no
+    earlier step targeted holds itself. So each step points to the last
+    earlier step that targeted its position, and pointer jumping to the end of
+    those chains gives every row's sample at once. A row with a draw
+    ``randbelow`` would reject (odds below ``count * population / 2**64``)
+    replays the scalar class instead.
     """
-    order = np.argsort(-counts, kind="stable")
-    rows, states, counts = rows[order], states[order], counts[order]
-    starts = np.cumsum(counts) - counts
-    step = np.arange(int(counts.sum())) - starts.repeat(counts)  # i within its row
+    order = np.argsort(-counts, kind="stable")  # _draw takes the longest streams first
+    sizes = counts[order]
+    row = np.arange(len(sizes)).repeat(sizes)
+    steps = np.arange(len(row))
+    step = steps - (np.cumsum(sizes) - sizes)[row]  # i within its row
     bound = np.uint64(population) - step.astype(np.uint64)
-    draws = _draw(states.copy(), counts)
-    fits = np.logical_and.reduceat(draws <= np.uint64(MASK64) - (np.uint64(MASK64) % bound + np.uint64(1)) % bound, starts)
-    swaps, values = (step + (draws % bound).astype(np.int64)).tolist(), []
-    for state, count, start, fit in zip(states.tolist(), counts.tolist(), starts.tolist(), fits.tolist()):
-        if not fit:
-            values += Xorshift64Star.from_state(state).sample_distinct(count, population)
-            continue
-        pool = list(range(population))
-        for i, j in enumerate(swaps[start : start + count]):
-            pool[i], pool[j] = pool[j], pool[i]
-        values += pool[:count]
-    return rows.repeat(counts) * population + np.array(values, dtype=np.int64)
+    draws = _draw(states[order], sizes)
+    rejects = draws.max() >= np.uint64((1 << 64) - population)  # only then can randbelow have rejected a draw
+    replay = order[np.unique(row[draws > np.uint64(MASK64) - (np.uint64(MASK64) % bound + np.uint64(1)) % bound])] if rejects else []
+    target = step + (draws % bound).astype(np.int64)
+    bits = (population - 1).bit_length()
+    keys = row << bits | target
+    by_target = np.argsort(keys, kind="stable")  # steps grouped by row and target, in step order
+    keys = keys[by_target]
+    same = keys[1:] == keys[:-1]
+    previous = np.full(len(row), -1)  # the last earlier step with the same target
+    previous[by_target[1:][same]] = by_target[:-1][same]
+    query = row << bits | step
+    last = np.searchsorted(keys, query, side="right") - 1  # the last step that targeted position i ...
+    last -= (last >= 0) & (by_target[last] == steps)  # ... before step i
+    link = np.where((last >= 0) & (keys[last] == query), by_target[last], steps)
+    while not np.array_equal(jumped := link[link], link):
+        link = jumped
+    values = np.where(previous < 0, target, step[link[previous]]) | order.repeat(sizes) << bits
+    values.sort()  # by input row, then by value
+    values &= (1 << bits) - 1
+    begin = np.cumsum(counts) - counts
+    for r in replay:
+        values[begin[r] : begin[r] + counts[r]] = Xorshift64Star.from_state(int(states[r])).sample_distinct(int(counts[r]), population)
+    return values
 
 
 def plan_batch(seeds: np.ndarray, cumulative: np.ndarray, population: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,51 +261,61 @@ def plan_batch(seeds: np.ndarray, cumulative: np.ndarray, population: int) -> tu
     followed by ``rng.sample_distinct(count, population)``, per ``Xorshift64Star(seed)``.
 
     Returns CSR arrays ``(offsets, indices)``: row ``i``'s sorted sample is
-    ``indices[offsets[i]:offsets[i + 1]]``. Bit-identical to the scalar path,
-    rejection draws of ``randbelow`` included. Sparse rows (2 * count <=
-    population) sample in lockstep rounds: each round draws the values a row
-    still needs, drops rejected draws and duplicates, and repeats for the rows
-    left short; since a round draws no more values than are still missing,
-    no row consumes a draw the scalar loop would not. Dense rows run the
-    Fisher-Yates swaps on batch draws. ``len(seeds) * population`` must stay
+    ``indices[offsets[i]:offsets[i + 1]]``, int32 while ``population <= 2**31``.
+    Bit-identical to the scalar path, rejection draws of ``randbelow``
+    included. Sparse rows (2 * count <= population) sample in lockstep rounds
+    on keys ``row << b | value``, ``b`` the bit length of ``population - 1``:
+    each round draws the values a row still needs, drops rejected draws and
+    duplicates, writes the rows now complete at their offsets, and repeats
+    for the rows left short; since a round draws no more values than are
+    still missing, no row consumes a draw the scalar loop would not. Dense
+    rows take :func:`_fisher_yates`. ``len(seeds) * population`` must stay
     below 2**63.
     """
     n = len(seeds)
     if n * population >= 1 << 63:
-        raise ValueError("batch too large: row-major sample keys would overflow int64")
-    offsets = np.zeros(n + 1, dtype=np.int64)
+        raise ValueError("batch too large: row-major sample keys would overflow 64 bits")
     states = seed_states(np.asarray(seeds, dtype=np.uint64))
     unit = (step_states(states) >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
     counts = np.minimum(np.searchsorted(cumulative, unit, side="left") + 1, population)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    indices = np.empty(int(offsets[-1]), dtype=np.int32 if population <= 1 << 31 else np.int64)
     dense = counts * 2 > population  # sample_distinct's Fisher-Yates branch
-    rejected = (1 << 64) % population  # randbelow rejects draws >= 2**64 - rejected
+    if dense.any():
+        indices[dense.repeat(counts)] = _fisher_yates(states[dense], counts[dense], population)
 
-    keys = [_fisher_yates(dense.nonzero()[0], states[dense], counts[dense], population)]
+    bits = (population - 1).bit_length()
+    key_type = np.uint32 if n << bits < 1 << 32 else np.uint64  # keys row << bits | value, and the bound of row n
+    bits, mask = key_type(bits), key_type((1 << bits) - 1)
+    limit = np.uint64((1 << 64) - (1 << 64) % population) if (1 << 64) % population else None  # randbelow rejects draws >= limit
     rows = (~dense).nonzero()[0]
     rows_state, need = states[rows], counts[rows]
-    pending = np.empty(0, dtype=np.int64)  # distinct keys drawn so far by rows still short
+    pending = np.empty(0, dtype=key_type)  # distinct keys drawn so far by rows still short
     while len(rows):
         order = np.argsort(-need)
         rows, rows_state, need = rows[order], rows_state[order], need[order]
-        draws = _draw(rows_state, need)
-        owner = rows.repeat(need)
-        if rejected:
-            ok = draws < np.uint64((1 << 64) - rejected)
-            draws, owner = draws[ok], owner[ok]
-        values = (draws % np.uint64(population)).astype(np.int64)
-        merged = np.sort(np.concatenate([pending, owner * population + values]))
-        first = np.ones(len(merged), dtype=bool)
-        first[1:] = merged[1:] != merged[:-1]
-        merged = merged[first]  # distinct keys
-        merged_row = merged // population
-        have = np.bincount(merged_row, minlength=n)
-        complete = have == counts
-        done = complete[merged_row]
-        keys.append(merged[done])
-        pending = merged[~done]
+        keys = _draw(rows_state, need)
+        ok = None if limit is None else keys < limit
+        keys %= np.uint64(population)
+        keys = keys.astype(key_type, copy=False)
+        keys |= (rows.astype(key_type) << bits).repeat(need)
+        if ok is not None:
+            keys = keys[ok]
+        if len(pending):
+            keys = np.concatenate([pending, keys])
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]  # distinct
+        bounds = np.searchsorted(keys, np.arange(n + 1, dtype=key_type) << bits)
+        have = bounds[1:] - bounds[:-1]
+        complete = have == counts  # the rows whose sample is now whole; rows written earlier have none left here
+        done = complete.repeat(have)
+        pending = keys[~done]
+        keys &= mask
+        indices[complete.repeat(counts)] = keys[done]
         short = ~complete[rows]
         rows, rows_state = rows[short], rows_state[short]
         need = counts[rows] - have[rows]
-    flat = np.sort(np.concatenate(keys))
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, flat % population
+    return offsets, indices

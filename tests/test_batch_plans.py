@@ -104,8 +104,45 @@ def test_dense_row_replays_a_rejected_draw():
     for table in _JUMPS[1:]:
         state = _jump(table, state)
     assert Xorshift64Star.from_state(int(state[0])).next_u64() == MASK64
-    got = _fisher_yates(np.array([0]), state, np.array([4]), 6)
+    got = _fisher_yates(state, np.array([4]), 6)
     assert sorted(got.tolist()) == Xorshift64Star.from_state(int(state[0])).sample_distinct(4, 6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    population=st.integers(2, 300),
+    rows=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 1.0)), min_size=1, max_size=12),
+)
+def test_dense_rows_match_sample_distinct(population, rows):
+    # Counts over half the population, up to all of it: the partial Fisher-Yates branch.
+    states = np.array([state or 1 for state, _ in rows], dtype=np.uint64)
+    counts = np.array([population // 2 + 1 + int(share * (population - population // 2 - 1)) for _, share in rows])
+    got = _fisher_yates(states, counts, population)
+    expected = [Xorshift64Star.from_state(int(s)).sample_distinct(int(c), population) for s, c in zip(states, counts)]
+    assert got.tolist() == [v for row in expected for v in row]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=seeds_st, k=st.sampled_from([1, 2, 3, 5, 7, 19, 100, 128, 1000, 1024, 2048, 4099, 2**15]))
+def test_plan_batch_matches_droplet_plan(seeds, k):
+    dist = RobustSoliton(k)
+    offsets, indices = plan_batch(np.array(seeds, dtype=np.uint64), dist.cdf, k)
+    assert indices.dtype == np.int32
+    assert rows(offsets, indices) == [droplet_plan(s, k, dist)[1] for s in seeds]
+
+
+def test_plans_are_int32():
+    seeds = random.Random(32).sample(range(2**32), 3 * fountain._PART)  # split on more than one core
+    assert plan_droplets(seeds, 2048)[1].dtype == np.int32
+    segments, _ = fountain.fragment(random.Random(32).randbytes(4096), 32)
+    assert fountain.encode_droplets(segments, 300, 7, screen=fountain.DEFAULT_SCREEN).indices.dtype == np.int32
+
+
+def test_int32_plans_limit_k():
+    with pytest.raises(ValueError, match=r"K must stay below 2\*\*31"):
+        recoverable_segments(np.zeros(2, dtype=np.int64), np.zeros(1, dtype=np.int32), 2**31)
+    with pytest.raises(ValueError, match=r"K must stay below 2\*\*31"):
+        fountain.decode(np.zeros(1, dtype=np.uint32), np.zeros((1, 32), dtype=np.uint8), 2**31, 10)
 
 
 def test_plan_batch_rejects_key_overflow():

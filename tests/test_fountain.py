@@ -33,7 +33,7 @@ from dnavault.fountain import (
     split_frames,
 )
 from dnavault.ledger import CodecParams
-from dnavault.rng import Xorshift64Star
+from dnavault.rng import Xorshift64Star, plan_batch
 from dnavault.synthesis import Bead, load_bead, save_bead
 
 
@@ -307,8 +307,23 @@ def test_starvation_counts_every_draw_the_seen_skip_took(monkeypatch):
     # 20 even seeds exist, so 25 droplets exhaust the budget of 200 * 25 + 1000 draws.
     monkeypatch.setattr(fountain, "Xorshift64Star", FewSeeds)
     segments, _ = fragment(random.Random(4).randbytes(64), 8)
-    with pytest.raises(ScreenStarvation, match=r"^screen accepted 20 of 25 droplets in 6001 attempts$"):
+    with pytest.raises(ScreenStarvation, match=r"^screen accepted 20 of 25 droplets in 6000 attempts$"):
         encode_droplets(segments, 25, rng_seed=9, screen=EvenSeeds())
+
+
+def test_a_starving_file_draws_the_rest_of_its_budget_in_one_batch(monkeypatch):
+    # A 16 B file is one segment, half zero bytes: every candidate oligo carries a long A-run.
+    segments, _ = fragment(random.Random(16).randbytes(16), 32)
+    calls = []
+
+    def counted(seeds, cumulative, population):
+        calls.append(len(seeds))
+        return plan_batch(seeds, cumulative, population)
+
+    monkeypatch.setattr(fountain, "plan_batch", counted)
+    with pytest.raises(ScreenStarvation, match=r"^screen accepted 0 of 2 droplets in 1400 attempts$"):
+        encode_droplets(segments, 2, rng_seed=5, screen=fountain.DEFAULT_SCREEN)
+    assert calls == [2, 1398]  # the first batch, then the rest of the 200 * 2 + 1000 draws
 
 
 def test_screen_starvation_is_reported():
