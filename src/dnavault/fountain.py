@@ -20,9 +20,9 @@ discarded and regenerated from the next seed.
 Each droplet's plan (degree and segment indices) is derived once, in batch,
 and bit-identically to the scalar :func:`droplet_plan`: the encoder plans,
 XORs, frames and screens candidates a batch at a time on numpy arrays and
-hands back a :class:`DropletBatch` (frames, the code rows it screened, CSR
-plans), so no droplet is framed, rendered or planned twice. Decoding plans
-seeds and payload rows in one batch. A batch of at least 16,384 seeds (two
+hands back a :class:`DropletBatch` (frames, base codes, int32 CSR plans)
+written once: kept frames and plans go straight to it, part by part, and the
+codes are rendered from its frames. Decoding plans seeds and payload rows in one batch. A batch of at least 16,384 seeds (two
 parts of ``_PART``) is split: the calling thread and one pool worker per
 further usable core plan, XOR, frame and screen its parts in turn, and the
 results are joined in seed order, so they equal a serial call's. Both peel
@@ -127,11 +127,11 @@ class OligoScreen:
 
         A run longer than the cap is ``max_homopolymer`` equal neighbours in a
         row; the GC fraction is the count of C and G codes over L. Rows are
-        screened ``_SCREEN_ROWS`` at a time, which bounds the temporaries.
+        screened 1,024 at a time, which bounds the temporaries.
         """
         ok = np.empty(len(codes), dtype=bool)
-        for start in range(0, len(codes), _SCREEN_ROWS):
-            rows = codes[start : start + _SCREEN_ROWS]
+        for start in range(0, len(codes), 1024):
+            rows = codes[start : start + 1024]
             runs = rows[:, 1:] == rows[:, :-1]
             for _ in range(self.max_homopolymer - 1):
                 runs = runs[:, :-1] & runs[:, 1:]  # now: this many neighbours in a row are equal
@@ -139,8 +139,6 @@ class OligoScreen:
             ok[start : start + len(rows)] = (self.max_homopolymer > 0) & ~runs.any(axis=1) & (self.gc_min <= gc) & (gc <= self.gc_max)
         return ok
 
-
-_SCREEN_ROWS = 1024
 
 DEFAULT_SCREEN = OligoScreen()
 
@@ -190,10 +188,9 @@ def _pool():
 def _parts(work, seeds: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """``work`` on ``seeds``, as a list of its results in seed order: one, or one per part of a split batch.
 
-    A batch of at least two parts, on more than one usable core, is cut into
-    parts of ``_PART`` seeds: the calling thread and ``_CORES - 1`` pool
-    workers take them in turn. ``work`` must not call a traced function: the
-    tracer keeps its operation per thread.
+    A batch of at least two parts, on more than one usable core, is cut into parts of ``_PART`` seeds: the calling
+    thread and ``_CORES - 1`` pool workers take them in turn. ``work`` must not call a traced function: the tracer
+    keeps its operation per thread.
     """
     if _CORES < 2 or len(seeds) < 2 * _PART:
         return [work(seeds)]
@@ -220,20 +217,15 @@ def _parts(work, seeds: np.ndarray) -> list[tuple[np.ndarray, ...]]:
 
 
 def _split(work, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``work(seeds)``, whose result is a tuple of arrays with one row per seed (or per plan entry), from :func:`_parts`.
-
-    The parts' results are concatenated in seed order, so they equal the serial call's.
-    """
+    """``work(seeds)``, a tuple of arrays with one row per seed (or plan entry): :func:`_parts`' results joined in seed order."""
     results = _parts(work, seeds)
     return results[0] if len(results) == 1 else tuple(np.concatenate(column) for column in zip(*results))
 
 
 def plan_droplets(seeds, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`droplet_plan` for many seeds at once, as CSR ``(offsets, indices)``; large batches split across cores.
-
-    Raises ``ValueError`` when K reaches 2**31: plans are int32.
-    """
-    _int32_plans(k)
+    """:func:`droplet_plan` for many seeds at once, as CSR ``(offsets, indices)``; large batches split across cores."""
+    if k >= 1 << 31:
+        raise ValueError(f"K = {k} segments: plans are int32, so K must stay below 2**31")
     cdf = RobustSoliton(k).cdf
 
     def plan(part):
@@ -369,14 +361,12 @@ def encode_droplets(
             taken = int(accepted.sum())
             frames[done : done + taken] = raw[accepted]
             sizes = part_offsets[1:] - part_offsets[:-1]
-            np.cumsum(sizes[accepted], out=offsets[done + 1 : done + taken + 1])
-            offsets[done + 1 : done + taken + 1] += offsets[done]
+            offsets[done + 1 : done + taken + 1] = offsets[done] + np.cumsum(sizes[accepted])
             plans.append(indices[accepted.repeat(sizes)])
             done += taken
         del raw, part_offsets, indices, accepted  # not alive during the next batch
-    indices = plans[0] if len(plans) == 1 else np.concatenate(plans)
-    del plans
-    return DropletBatch(frames, bytes_to_codes(frames), offsets, indices)
+    plans = plans[0] if len(plans) == 1 else np.concatenate(plans)  # the parts go before the codes come
+    return DropletBatch(frames, bytes_to_codes(frames), offsets, plans)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,30 +377,21 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
     return positions, begins
 
 
-# Plan entries per step of the holder keys' shift; bounds that step's temporary.
-_KEY_CHUNK = 1 << 16
-
-
-def _int32_plans(k: int) -> None:
-    if k >= 1 << 31:
-        raise ValueError(f"K = {k} segments: plans are int32, so K must stay below 2**31")
-
-
 def _holders_by_segment(offsets: np.ndarray, indices: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The droplets holding each segment: segment ``s``'s are ``holders[starts[s]:starts[s + 1]]``, ascending, int32.
 
-    One in-place sort of the plan entries' composite keys ``segment << b |
-    droplet``, ``b`` the bit length of the largest droplet number, int32
-    while they fit, with the group starts from their sizes.
+    One in-place sort of the plan entries' composite keys ``segment << b | droplet``, ``b`` the bit length of the
+    largest droplet number, int32 while they fit; a binary search finds the group starts.
     """
-    _int32_plans(k)
+    if k >= 1 << 31:
+        raise ValueError(f"K = {k} segments: plans are int32, so K must stay below 2**31")
     n = len(offsets) - 1
     bits = int(n - 1).bit_length()
     if k << bits >= 1 << 63:
         raise ValueError("plan too large: segment-droplet keys would overflow int64")
     keys = np.arange(n, dtype=np.int32 if k << bits <= 1 << 31 else np.int64).repeat(offsets[1:] - offsets[:-1])
-    for start in range(0, len(keys), _KEY_CHUNK):  # the shifted segments a chunk at a time: no second plan-sized array
-        keys[start : start + _KEY_CHUNK] |= indices[start : start + _KEY_CHUNK].astype(keys.dtype) << bits
+    for start in range(0, len(keys), 1 << 16):  # the shifted segments a chunk at a time: no second plan-sized array
+        keys[start : start + (1 << 16)] |= indices[start : start + (1 << 16)].astype(keys.dtype) << bits
     keys.sort()
     starts = np.searchsorted(keys, ((np.arange(k + 1) << bits) - 1).astype(keys.dtype), side="right")  # keys below s << bits
     keys &= (1 << bits) - 1  # now the holders
@@ -420,19 +401,14 @@ def _holders_by_segment(offsets: np.ndarray, indices: np.ndarray, k: int) -> tup
 def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | None, k: int):
     """Shared peeling core over CSR index arrays; ``values`` may be None for a structure-only pass.
 
-    Per droplet it keeps the count of unresolved indices. Each round
-    resolves every droplet then at count one (one per segment; the rest are
-    redundant) and strips the resolved segments from the droplets that hold
-    them by counting those holders; a droplet that resolved or went
-    redundant counts on below zero and never joins a ripple again. The
-    droplets that came down to count one form the next ripple, and a scan
-    of each one's plan row finds its one unresolved index. The resolved set
-    is the peeling closure, so it does not depend on the order of
-    resolution. With values, a segment resolved by a droplet is the
-    droplet's value XOR every other segment of its plan, all resolved in
-    earlier rounds; the rounds are replayed in order at the end, once the
-    holder index is gone. Returns ``(resolved, segment_values)``: a boolean
-    mask over the K segments and, with values, their ``(K, w)`` values
+    Per droplet it keeps the count of unresolved indices. Each round resolves every droplet then at count one (one
+    per segment; the rest are redundant) and strips the resolved segments from the droplets that hold them by counting
+    those holders; a droplet that resolved or went redundant counts on below zero and never joins a ripple again. The
+    droplets that came down to count one form the next ripple, and a scan of each one's plan row finds its one
+    unresolved index. The resolved set is the peeling closure, so it does not depend on the order of resolution. With
+    values, a segment resolved by a droplet is the droplet's value XOR every other segment of its plan, all resolved
+    in earlier rounds; the rounds are replayed in order at the end, once the holder index is gone. Returns
+    ``(resolved, segment_values)``: a boolean mask over the K segments and, with values, their ``(K, w)`` values
     (unresolved rows 0).
     """
     n = len(offsets) - 1
@@ -444,8 +420,8 @@ def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | Non
     rounds = []  # (droplets, the segments they resolved) per round
     ripple = np.flatnonzero(remaining == 1)
     while len(ripple):
-        plans = indices[_ranges(offsets[ripple], degrees[ripple])[0]].astype(np.intp)  # faster to index with
-        segs = plans[~resolved[plans]]  # exactly one unresolved index per row, in ripple order
+        plans = indices[_ranges(offsets[ripple], degrees[ripple])[0]]
+        segs = plans[~resolved[plans]].astype(np.intp)  # one unresolved index per row, in ripple order; intp indexes faster
         remaining[ripple] = 0
         slot[segs] = ripple
         keep = slot[segs] == ripple
@@ -471,7 +447,7 @@ def recoverable_segments(offsets: np.ndarray, indices: np.ndarray, k: int) -> in
     Peeling success depends only on the seed-derived index sets, so this is
     a cheap decodability check (no payload XOR work). A
     :class:`DropletBatch` from :func:`encode_droplets` carries its plans, so
-    none is derived again. Raises ``ValueError`` when K reaches 2**31.
+    none is derived again.
     """
     return int(_peel_csr(offsets, indices, None, k)[0].sum())
 
@@ -479,8 +455,7 @@ def recoverable_segments(offsets: np.ndarray, indices: np.ndarray, k: int) -> in
 def decode(seeds: np.ndarray, payloads: np.ndarray, k: int, original_length: int) -> bytes:
     """Peel distinct droplets, given as seeds and ``(n, segment_size)`` payload rows, back into the original bytes.
 
-    Raises :class:`DecodeFailed` with the recovered count when peeling
-    stalls, and ``ValueError`` when K reaches 2**31.
+    Raises :class:`DecodeFailed` with the recovered count when peeling stalls.
     """
     offsets, indices = plan_droplets(seeds, k)
     resolved, seg_values = _peel_csr(offsets, indices, _segment_words(payloads), k)

@@ -204,25 +204,21 @@ def _draw(states: np.ndarray, need: np.ndarray) -> np.ndarray:
     while live := int(np.searchsorted(-need[:live], -length, side="left")):
         copies = np.minimum(need[:live] - length, length)
         src = np.repeat(starts[:live] - (np.cumsum(copies) - copies), copies) + np.arange(int(copies.sum()))
-        out[src + length] = _jump(_JUMPS[length.bit_length() - 1], out[src])
+        for block in range(0, len(src), 1 << 13):  # bounds the jump's temporaries; no block's targets are another's sources
+            part = src[block : block + (1 << 13)]
+            out[part + length] = _jump(_JUMPS[length.bit_length() - 1], out[part])
         length *= 2
     states[:] = out[starts + need - 1]
-    out *= np.uint64(_STAR)
-    return out
+    return np.multiply(out, np.uint64(_STAR), out=out)
 
 
 def _fisher_yates(states: np.ndarray, counts: np.ndarray, population: int) -> np.ndarray:
     """Each row's sample from ``sample_distinct``'s partial Fisher-Yates branch, sorted, the rows concatenated in order.
 
-    Step ``i`` swaps positions ``i`` and ``j = i + randbelow(population - i)``,
-    on draws taken in one batch. No later step swaps position ``i`` again, and
-    position ``j`` holds what the last earlier step targeting ``j`` put there:
-    the value that step's own position held before it. A position that no
-    earlier step targeted holds itself. So each step points to the last
-    earlier step that targeted its position, and pointer jumping to the end of
-    those chains gives every row's sample at once. A row with a draw
-    ``randbelow`` would reject (odds below ``count * population / 2**64``)
-    replays the scalar class instead.
+    Step ``i`` swaps positions ``i`` and ``j = i + randbelow(population - i)``, on draws taken in one batch, and
+    keeps what the last earlier step targeting ``j`` left there: what that step's own position held before it, or
+    ``j`` itself if no earlier step targeted it. Pointer jumping along those links gives every sample at once. A row
+    with a draw ``randbelow`` would reject (odds below ``count * population / 2**64``) replays the scalar class.
     """
     order = np.argsort(-counts, kind="stable")  # _draw takes the longest streams first
     sizes = counts[order]
@@ -260,17 +256,13 @@ def plan_batch(seeds: np.ndarray, cumulative: np.ndarray, population: int) -> tu
     """Batch mirror of ``min(bisect_left(cumulative, rng.random()) + 1, population)``
     followed by ``rng.sample_distinct(count, population)``, per ``Xorshift64Star(seed)``.
 
-    Returns CSR arrays ``(offsets, indices)``: row ``i``'s sorted sample is
-    ``indices[offsets[i]:offsets[i + 1]]``, int32 while ``population <= 2**31``.
-    Bit-identical to the scalar path, rejection draws of ``randbelow``
-    included. Sparse rows (2 * count <= population) sample in lockstep rounds
-    on keys ``row << b | value``, ``b`` the bit length of ``population - 1``:
-    each round draws the values a row still needs, drops rejected draws and
-    duplicates, writes the rows now complete at their offsets, and repeats
-    for the rows left short; since a round draws no more values than are
-    still missing, no row consumes a draw the scalar loop would not. Dense
-    rows take :func:`_fisher_yates`. ``len(seeds) * population`` must stay
-    below 2**63.
+    Returns CSR arrays ``(offsets, indices)``: row ``i``'s sorted sample is ``indices[offsets[i]:offsets[i + 1]]``,
+    int32 while ``population <= 2**31``. Bit-identical to the scalar path, rejection draws of ``randbelow`` included.
+    Sparse rows (2 * count <= population) sample in lockstep rounds on keys ``row << b | value``, ``b`` the bit length
+    of ``population - 1``: each round draws the values a row still needs, drops rejected draws and duplicates, writes
+    the rows now complete at their offsets, and repeats for the rows left short; since a round draws no more values
+    than are still missing, no row consumes a draw the scalar loop would not. Dense rows take :func:`_fisher_yates`.
+    ``len(seeds) * population`` must stay below 2**63.
     """
     n = len(seeds)
     if n * population >= 1 << 63:
@@ -300,10 +292,7 @@ def plan_batch(seeds: np.ndarray, cumulative: np.ndarray, population: int) -> tu
         keys %= np.uint64(population)
         keys = keys.astype(key_type, copy=False)
         keys |= (rows.astype(key_type) << bits).repeat(need)
-        if ok is not None:
-            keys = keys[ok]
-        if len(pending):
-            keys = np.concatenate([pending, keys])
+        keys = np.concatenate([pending, keys if ok is None else keys[ok]])
         keys.sort()
         first = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=first[1:])

@@ -2,10 +2,10 @@
 
 Before plans were int32 and the encoder wrote its result once, these peaks
 read 12.2 MiB (``encode_droplets``), 3.6 MiB (``recoverable_segments``) and
-10.9 MiB (``decode``) on this file; since then they read 6.3, 1.8 and 4.5 MiB.
-Each bound sits at least a fifth below the earlier peak and at least 40% above
-the present one, so a change that brings back a second copy of the result or
-of the plan fails here, while allocator and numpy-version drift does not.
+10.9 MiB (``decode``) on this file; since then they read 6.5, 2.0 and 4.5 MiB.
+Each bound sits at least a fifth below the earlier peak and more than a third
+above the present one, so a change that brings back a second copy of the result
+or of the plan fails here, while allocator and numpy-version drift does not.
 """
 
 import json
