@@ -97,7 +97,7 @@ def codes_to_bytes(codes: np.ndarray) -> np.ndarray:
 
 
 def bytes_to_codes(raw: np.ndarray) -> np.ndarray:
-    """``(n, B)`` bytes to the ``(n, 4B)`` base codes of :func:`bytes_to_dna`, 1,024 rows a take: it widens each index to 8 bytes."""
+    """``(n, B)`` bytes to the ``(n, 4B)`` base codes of :func:`bytes_to_dna`, 1,024 rows a take (it widens indices)."""
     words = np.empty(raw.shape, dtype="<u4")
     for start in range(0, len(raw), 1024):
         np.take(_SPREAD, raw[start : start + 1024], out=words[start : start + 1024], mode="clip")

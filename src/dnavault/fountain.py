@@ -22,16 +22,17 @@ and bit-identically to the scalar :func:`droplet_plan`: the encoder plans,
 XORs, frames and screens candidates a batch at a time on numpy arrays and
 hands back a :class:`DropletBatch` (frames, base codes, int32 CSR plans)
 written once: kept frames and plans go straight to it, part by part, and the
-codes are rendered from its frames. Decoding plans seeds and payload rows in one batch. A batch of at least 16,384 seeds (two
-parts of ``_PART``) is split: the calling thread and one pool worker per
-further usable core plan, XOR, frame and screen its parts in turn, and the
-results are joined in seed order, so they equal a serial call's. Both peel
-with one core, on the calling thread, over CSR index arrays in linear
-passes: one sort of composite keys groups the plan entries by segment, each
-round counts the holders of the segments it resolved down with one
-``bincount``, and a scan of a droplet's plan row finds its last unresolved
-segment. The peel's rounds depend on one another, and the bead reads stay
-serial because the benchmark's tracer keeps its operation per thread.
+codes are rendered from its frames. Decoding plans seeds and payload rows in
+one batch. A batch of at least 16,384 seeds (two parts of ``_PART``) is
+split: the calling thread and one pool worker per further usable core plan,
+XOR, frame and screen its parts in turn, and the results are taken in seed
+order, so they equal a serial call's. Both peel with one core, on the calling
+thread, over CSR index arrays in linear passes: one sort of composite keys
+groups the plan entries by segment, each round counts the holders of the
+segments it resolved down with one ``bincount``, and a scan of a droplet's
+plan row finds its last unresolved segment. The peel's rounds depend on one
+another, and the bead reads stay serial because the benchmark's tracer keeps
+its operation per thread.
 The scalar :func:`droplet_plan`, :class:`Droplet` and the one-oligo string
 helpers serve only the tests and ``perfbench/tracing.py`` ``TRACED``.
 """
@@ -136,7 +137,8 @@ class OligoScreen:
             for _ in range(self.max_homopolymer - 1):
                 runs = runs[:, :-1] & runs[:, 1:]  # now: this many neighbours in a row are equal
             gc = ((rows == 1) | (rows == 2)).sum(axis=1) / rows.shape[1]
-            ok[start : start + len(rows)] = (self.max_homopolymer > 0) & ~runs.any(axis=1) & (self.gc_min <= gc) & (gc <= self.gc_max)
+            ok[start : start + len(rows)] = ~runs.any(axis=1) & (self.gc_min <= gc) & (gc <= self.gc_max)
+        ok &= self.max_homopolymer > 0
         return ok
 
 
@@ -216,12 +218,6 @@ def _parts(work, seeds: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     return results
 
 
-def _split(work, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``work(seeds)``, a tuple of arrays with one row per seed (or plan entry): :func:`_parts`' results joined in seed order."""
-    results = _parts(work, seeds)
-    return results[0] if len(results) == 1 else tuple(np.concatenate(column) for column in zip(*results))
-
-
 def plan_droplets(seeds, k: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`droplet_plan` for many seeds at once, as CSR ``(offsets, indices)``; large batches split across cores."""
     if k >= 1 << 31:
@@ -232,7 +228,8 @@ def plan_droplets(seeds, k: int) -> tuple[np.ndarray, np.ndarray]:
         offsets, indices = plan_batch(part, cdf, k)
         return offsets[1:] - offsets[:-1], indices
 
-    sizes, indices = _split(plan, np.asarray(seeds, dtype=np.uint64))
+    parts = _parts(plan, np.asarray(seeds, dtype=np.uint64))
+    sizes, indices = parts[0] if len(parts) == 1 else (np.concatenate(column) for column in zip(*parts))
     offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     return offsets, indices
@@ -318,7 +315,8 @@ def encode_droplets(
         raw[:, :4] = seeds.astype(">u4").view(np.uint8).reshape(n, 4)
         raw[:, 4:-4] = xored.view(np.uint8)[:, :segment_size]
         raw[:, -4:] = frame_crcs(raw).astype(">u4").view(np.uint8).reshape(n, 4)
-        return raw, offsets, indices, np.ones(n, dtype=bool) if screen is None else screen.accepts_codes(bytes_to_codes(raw))
+        accepted = np.ones(n, dtype=bool) if screen is None else screen.accepts_codes(bytes_to_codes(raw))
+        return raw, offsets, indices, accepted
 
     master = Xorshift64Star(rng_seed)
     frames = np.empty((count, OLIGO_HEADER_BYTES + segment_size), dtype=np.uint8)
@@ -393,7 +391,7 @@ def _holders_by_segment(offsets: np.ndarray, indices: np.ndarray, k: int) -> tup
     for start in range(0, len(keys), 1 << 16):  # the shifted segments a chunk at a time: no second plan-sized array
         keys[start : start + (1 << 16)] |= indices[start : start + (1 << 16)].astype(keys.dtype) << bits
     keys.sort()
-    starts = np.searchsorted(keys, ((np.arange(k + 1) << bits) - 1).astype(keys.dtype), side="right")  # keys below s << bits
+    starts = np.searchsorted(keys, ((np.arange(k + 1) << bits) - 1).astype(keys.dtype), side="right")  # keys < s << b
     keys &= (1 << bits) - 1  # now the holders
     return keys.astype(np.int32, copy=False), starts
 
@@ -421,14 +419,15 @@ def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | Non
     ripple = np.flatnonzero(remaining == 1)
     while len(ripple):
         plans = indices[_ranges(offsets[ripple], degrees[ripple])[0]]
-        segs = plans[~resolved[plans]].astype(np.intp)  # one unresolved index per row, in ripple order; intp indexes faster
+        segs = plans[~resolved[plans]].astype(np.intp)  # one unresolved index per row, in ripple order
         remaining[ripple] = 0
         slot[segs] = ripple
         keep = slot[segs] == ripple
         ripple, segs = ripple[keep], segs[keep]
         resolved[segs] = True
         rounds.append((ripple, segs))
-        remaining -= np.bincount(holders[_ranges(starts[segs], starts[segs + 1] - starts[segs])[0]], minlength=n)
+        holding = holders[_ranges(starts[segs], starts[segs + 1] - starts[segs])[0]]
+        remaining -= np.bincount(holding, minlength=n)
         ripple = np.flatnonzero(remaining == 1)
     if values is None:
         return resolved, None

@@ -204,7 +204,7 @@ def _draw(states: np.ndarray, need: np.ndarray) -> np.ndarray:
     while live := int(np.searchsorted(-need[:live], -length, side="left")):
         copies = np.minimum(need[:live] - length, length)
         src = np.repeat(starts[:live] - (np.cumsum(copies) - copies), copies) + np.arange(int(copies.sum()))
-        for block in range(0, len(src), 1 << 13):  # bounds the jump's temporaries; no block's targets are another's sources
+        for block in range(0, len(src), 1 << 13):  # bounds the temporaries; blocks never feed each other
             part = src[block : block + (1 << 13)]
             out[part + length] = _jump(_JUMPS[length.bit_length() - 1], out[part])
         length *= 2
@@ -227,8 +227,9 @@ def _fisher_yates(states: np.ndarray, counts: np.ndarray, population: int) -> np
     step = steps - (np.cumsum(sizes) - sizes)[row]  # i within its row
     bound = np.uint64(population) - step.astype(np.uint64)
     draws = _draw(states[order], sizes)
-    rejects = draws.max() >= np.uint64((1 << 64) - population)  # only then can randbelow have rejected a draw
-    replay = order[np.unique(row[draws > np.uint64(MASK64) - (np.uint64(MASK64) % bound + np.uint64(1)) % bound])] if rejects else []
+    replay = []
+    if draws.max() >= np.uint64((1 << 64) - population):  # only then can randbelow have rejected a draw
+        replay = order[np.unique(row[draws > np.uint64(MASK64) - (np.uint64(MASK64) % bound + np.uint64(1)) % bound])]
     target = step + (draws % bound).astype(np.int64)
     bits = (population - 1).bit_length()
     keys = row << bits | target
@@ -248,7 +249,8 @@ def _fisher_yates(states: np.ndarray, counts: np.ndarray, population: int) -> np
     values &= (1 << bits) - 1
     begin = np.cumsum(counts) - counts
     for r in replay:
-        values[begin[r] : begin[r] + counts[r]] = Xorshift64Star.from_state(int(states[r])).sample_distinct(int(counts[r]), population)
+        rng = Xorshift64Star.from_state(int(states[r]))
+        values[begin[r] : begin[r] + counts[r]] = rng.sample_distinct(int(counts[r]), population)
     return values
 
 
@@ -280,7 +282,8 @@ def plan_batch(seeds: np.ndarray, cumulative: np.ndarray, population: int) -> tu
     bits = (population - 1).bit_length()
     key_type = np.uint32 if n << bits < 1 << 32 else np.uint64  # keys row << bits | value, and the bound of row n
     bits, mask = key_type(bits), key_type((1 << bits) - 1)
-    limit = np.uint64((1 << 64) - (1 << 64) % population) if (1 << 64) % population else None  # randbelow rejects draws >= limit
+    rejected = (1 << 64) % population  # randbelow rejects the draws at or above 2**64 - rejected
+    limit = np.uint64((1 << 64) - rejected) if rejected else None
     rows = (~dense).nonzero()[0]
     rows_state, need = states[rows], counts[rows]
     pending = np.empty(0, dtype=key_type)  # distinct keys drawn so far by rows still short

@@ -208,7 +208,7 @@ def test_split_runs_each_part_once_and_joins_them_in_order(monkeypatch):
         try:
             for _ in range(5):
                 ran.clear()
-                doubled, firsts = fountain._split(work, seeds)
+                doubled, firsts = (np.concatenate(column) for column in zip(*fountain._parts(work, seeds)))
                 assert np.array_equal(doubled, seeds * 2)
                 assert sorted(ran) == firsts.tolist() == list(range(0, len(seeds), fountain._PART))
         except Exception as exc:  # noqa: BLE001 - reported by the test thread below
