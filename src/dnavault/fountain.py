@@ -426,8 +426,8 @@ def _peel_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray | Non
         ripple, segs = ripple[keep], segs[keep]
         resolved[segs] = True
         rounds.append((ripple, segs))
-        holding = holders[_ranges(starts[segs], starts[segs + 1] - starts[segs])[0]]
-        remaining -= np.bincount(holding, minlength=n)
+        remaining -= np.bincount(holders[_ranges(starts[segs], starts[segs + 1] - starts[segs])[0]],
+                                 minlength=n)
         ripple = np.flatnonzero(remaining == 1)
     if values is None:
         return resolved, None
