@@ -58,10 +58,13 @@ seeds_st = st.lists(st.integers(0, 2**32 - 1), max_size=96)
 
 
 @settings(max_examples=60, deadline=None)
-@given(seeds=seeds_st, k=st.sampled_from([1, 2, 3, 4, 5, 8, 17, 64, 100, 1000, 1024, 3000, 2**15]))
+@given(seeds=seeds_st, k=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 17, 19, 64, 100, 128, 1000, 1024, 2048, 3000, 4099, 2**15]))
 def test_plan_droplets_matches_droplet_plan(seeds, k):
+    # Under 16,384 seeds this is one plan_batch call, whose output plan_droplets returns as is.
     dist = RobustSoliton(k)
-    assert rows(*plan_droplets(seeds, k)) == [droplet_plan(s, k, dist)[1] for s in seeds]
+    offsets, indices = plan_droplets(seeds, k)
+    assert indices.dtype == np.int32
+    assert rows(offsets, indices) == [droplet_plan(s, k, dist)[1] for s in seeds]
 
 
 @settings(max_examples=80, deadline=None)
@@ -111,28 +114,20 @@ def test_dense_row_replays_a_rejected_draw():
 @settings(max_examples=120, deadline=None)
 @given(
     population=st.integers(2, 300),
-    rows=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 1.0)), min_size=1, max_size=12),
+    cases=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 1.0)), min_size=1, max_size=12),
 )
-def test_dense_rows_match_sample_distinct(population, rows):
+def test_dense_rows_match_sample_distinct(population, cases):
     # Counts over half the population, up to all of it: the partial Fisher-Yates branch.
-    states = np.array([state or 1 for state, _ in rows], dtype=np.uint64)
-    counts = np.array([population // 2 + 1 + int(share * (population - population // 2 - 1)) for _, share in rows])
+    states = np.array([state or 1 for state, _ in cases], dtype=np.uint64)
+    counts = np.array([population // 2 + 1 + int(share * (population - population // 2 - 1)) for _, share in cases])
     got = _fisher_yates(states, counts, population)
     expected = [Xorshift64Star.from_state(int(s)).sample_distinct(int(c), population) for s, c in zip(states, counts)]
     assert got.tolist() == [v for row in expected for v in row]
 
 
-@settings(max_examples=60, deadline=None)
-@given(seeds=seeds_st, k=st.sampled_from([1, 2, 3, 5, 7, 19, 100, 128, 1000, 1024, 2048, 4099, 2**15]))
-def test_plan_batch_matches_droplet_plan(seeds, k):
-    dist = RobustSoliton(k)
-    offsets, indices = plan_batch(np.array(seeds, dtype=np.uint64), dist.cdf, k)
-    assert indices.dtype == np.int32
-    assert rows(offsets, indices) == [droplet_plan(s, k, dist)[1] for s in seeds]
-
-
-def test_plans_are_int32():
-    seeds = random.Random(32).sample(range(2**32), 3 * fountain._PART)  # split on more than one core
+def test_plans_are_int32(monkeypatch):
+    monkeypatch.setattr(fountain, "_CORES", 2)  # so the plan is joined from parts
+    seeds = random.Random(32).sample(range(2**32), 3 * fountain._PART)
     assert plan_droplets(seeds, 2048)[1].dtype == np.int32
     segments, _ = fountain.fragment(random.Random(32).randbytes(4096), 32)
     assert fountain.encode_droplets(segments, 300, 7, screen=fountain.DEFAULT_SCREEN).indices.dtype == np.int32
