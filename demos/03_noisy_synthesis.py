@@ -38,7 +38,7 @@ print("=" * 70)
 print("  coverage | consensus oligos recovered (of designed)")
 for coverage in (1, 3, 5, 10):
     reads = sequence_bead(bead, coverage, model)
-    consensus = [bytes_to_dna(frame.tobytes()) for frame in consensus_reads(reads, SEGMENT)]
+    consensus = [bytes_to_dna(frame.tobytes()) for frame in consensus_reads([reads], SEGMENT)]
     recovered = len(set(consensus) & set(oligos))
     print(f"  {coverage:8} | {recovered:3}/{len(oligos)}   ({len(reads.reads)} reads)")
 

@@ -14,11 +14,11 @@ Upload order (one atomic ledger transaction at the end):
    the full placement map and the codec parameters.
 
 Download reverses it: permission check against the ledger's current
-record, retrieve each bead from any online replica, sequence at the
-configured coverage, collapse reads to the frames of CRC-valid consensus
-oligos, take each seed once (first seen), peel, optionally decrypt, and
-refuse to return bytes whose hash does not match the record. Oligos stay
-base-code matrices and frames stay byte rows from encode to decode.
+record, retrieve each bead from any online replica and sequence it at the
+configured coverage, collapse all beads' reads in one consensus call to
+CRC-valid frames, take each seed once (first seen), peel, optionally
+decrypt, and refuse to return bytes whose hash does not match the record.
+Oligos stay base-code matrices and frames stay byte rows throughout.
 
 The engine holds a ``Ledger``: uploads, downloads and permission changes
 read its current records and append one block checked against them, so no
@@ -53,7 +53,6 @@ from .errors import (
 )
 from .fountain import (
     DEFAULT_SCREEN,
-    OLIGO_HEADER_BYTES,
     DropletBatch,
     decode,
     encode_droplets,
@@ -263,18 +262,12 @@ class StorageContract:
             raise UnknownFile(f"record for {file_hash} carries no codec parameters")
         cp = record.codec_params
 
-        per_bead: dict[str, list[tuple[str, str]]] = {}
-        for bead_id, node_id in record.bead_locations:
-            per_bead.setdefault(bead_id, []).append((bead_id, node_id))
-
-        frames = [np.zeros((0, OLIGO_HEADER_BYTES + cp.segment_size), dtype=np.uint8)]
-        for bead_id, locations in per_bead.items():
-            bead = self.cluster.retrieve_bead(bead_id, locations)
-            if not len(bead.codes):
-                continue  # every molecule of this bead dropped out at synthesis
-            reads = sequence_bead(bead, self.defaults.coverage, self.defaults.error_model)
-            frames.append(consensus_reads(reads, cp.segment_size))
-        seeds, payloads, _ = split_frames(np.concatenate(frames))
+        # Lazily, so one bead's reads are alive at a time; a bead whose every molecule dropped out has none.
+        places, params = record.bead_locations, self.defaults
+        beads = (self.cluster.retrieve_bead(bead_id, places) for bead_id in dict.fromkeys(b for b, _ in places))
+        read_sets = (sequence_bead(bead, params.coverage, params.error_model) for bead in beads if len(bead.codes))
+        frames = consensus_reads(read_sets, cp.segment_size)  # one pass over every bead's reads
+        seeds, payloads, _ = split_frames(frames)
         first = np.sort(np.unique(seeds, return_index=True)[1])  # a seed read on several beads counts once
 
         data = decode(seeds[first], payloads[first], cp.k, cp.original_length)  # DecodeFailed when peeling stalls

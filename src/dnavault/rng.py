@@ -18,7 +18,7 @@ the equivalence. ``plan_batch`` derives many droplet plans at once (one
 inverse-CDF degree draw, then ``sample_distinct``), jumping each stream
 ahead by table lookups and replaying ``randbelow``'s rejection draws, so
 every plan is identical to the one the scalar class yields for the same
-seed.
+seed; a batch of a few hundred entries runs the scalar class itself.
 """
 
 from __future__ import annotations
@@ -77,25 +77,11 @@ class Xorshift64Star:
         return (s * _STAR) & MASK64
 
     def next_u64s(self, count: int) -> np.ndarray:
-        """The next ``count`` values of :meth:`next_u64` as a uint64 array.
-
-        As in ``_draw``: the first ``_LOCKSTEP`` states are stepped one by
-        one, and each jump of ``2**p`` steps then doubles the states drawn.
-        """
-        states = np.empty(count, dtype=np.uint64)
-        head = []
-        for _ in range(min(count, _LOCKSTEP)):
-            self.next_u64()
-            head.append(self._state)
-        states[: len(head)] = head
-        length = _LOCKSTEP
-        while length < count:
-            more = min(length, count - length)
-            states[length : length + more] = _jump(_JUMPS[length.bit_length() - 1], states[:more])
-            length *= 2
-        if count:
-            self._state = int(states[-1])
-        return states * np.uint64(_STAR)
+        """The next ``count`` values of :meth:`next_u64` as a uint64 array, drawn as ``_draw`` draws them."""
+        state = np.array([self._state], dtype=np.uint64)
+        values = _draw(state, np.array([count])) if count else np.empty(0, dtype=np.uint64)
+        self._state = int(state[0])
+        return values
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
@@ -254,17 +240,24 @@ def _fisher_yates(states: np.ndarray, counts: np.ndarray, population: int) -> np
     return values
 
 
+# A batch of at most this many plan entries replays the scalar stream: below it the rounds' fixed cost of some 200
+# numpy calls outweighs about 1 us an entry in Python. Measured alternating on 2 cores, median of 200 calls: replay
+# won up to about 570 entries at K = 32, 500 at K = 64 and 380 at K = 128; at K = 8, 14 seeds took 0.33 and 0.08 ms.
+_TINY = 512
+
+
 def plan_batch(seeds: np.ndarray, cumulative: np.ndarray, population: int) -> tuple[np.ndarray, np.ndarray]:
     """Batch mirror of ``min(bisect_left(cumulative, rng.random()) + 1, population)``
     followed by ``rng.sample_distinct(count, population)``, per ``Xorshift64Star(seed)``.
 
     Returns CSR arrays ``(offsets, indices)``: row ``i``'s sorted sample is ``indices[offsets[i]:offsets[i + 1]]``,
     int32 while ``population <= 2**31``. Bit-identical to the scalar path, rejection draws of ``randbelow`` included.
-    Sparse rows (2 * count <= population) sample in lockstep rounds on keys ``row << b | value``, ``b`` the bit length
-    of ``population - 1``: each round draws the values a row still needs, drops rejected draws and duplicates, writes
-    the rows now complete at their offsets, and repeats for the rows left short; since a round draws no more values
-    than are still missing, no row consumes a draw the scalar loop would not. Dense rows take :func:`_fisher_yates`.
-    ``len(seeds) * population`` must stay below 2**63.
+    After the degree draw, a batch of at most ``_TINY`` entries replays the scalar class from each row's state.
+    Otherwise rows become keys ``row << b | value``, ``b`` the bit length of ``population - 1``. Sparse rows
+    (2 * count <= population) sample in lockstep rounds over the rows still short: each draws the values a row
+    still needs, drops rejected draws and duplicates and sets aside the rows now complete; as a round draws no more
+    values than are missing, no row consumes a draw the scalar loop would not. Dense rows take :func:`_fisher_yates`.
+    A stable sort merges the sorted runs into row order. ``len(seeds) * population`` must stay below 2**63.
     """
     n = len(seeds)
     if n * population >= 1 << 63:
@@ -274,40 +267,49 @@ def plan_batch(seeds: np.ndarray, cumulative: np.ndarray, population: int) -> tu
     counts = np.minimum(np.searchsorted(cumulative, unit, side="left") + 1, population)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    indices = np.empty(int(offsets[-1]), dtype=np.int32 if population <= 1 << 31 else np.int64)
-    dense = counts * 2 > population  # sample_distinct's Fisher-Yates branch
-    if dense.any():
-        indices[dense.repeat(counts)] = _fisher_yates(states[dense], counts[dense], population)
+    index_type = np.int32 if population <= 1 << 31 else np.int64
+    if offsets[-1] <= _TINY:
+        rows = zip(states.tolist(), counts.tolist())
+        values = [v for s, c in rows for v in Xorshift64Star.from_state(s).sample_distinct(c, population)]
+        return offsets, np.array(values, dtype=index_type)
 
     bits = (population - 1).bit_length()
     key_type = np.uint32 if n << bits < 1 << 32 else np.uint64  # keys row << bits | value, and the bound of row n
-    bits, mask = key_type(bits), key_type((1 << bits) - 1)
+    row_keys = np.arange(n + 1, dtype=key_type) << key_type(bits)  # the least key of each row, and the bound
+    finished = []  # sorted runs of the keys of complete rows
+    dense = counts * 2 > population  # sample_distinct's Fisher-Yates branch
+    if dense.any():
+        rows = np.flatnonzero(dense)
+        values = _fisher_yates(states[rows], counts[rows], population).astype(key_type)
+        finished.append(values | row_keys[rows].repeat(counts[rows]))
     rejected = (1 << 64) % population  # randbelow rejects the draws at or above 2**64 - rejected
     limit = np.uint64((1 << 64) - rejected) if rejected else None
-    rows = (~dense).nonzero()[0]
+    rows = np.flatnonzero(~dense)  # ascending, as each round keeps them
     rows_state, need = states[rows], counts[rows]
     pending = np.empty(0, dtype=key_type)  # distinct keys drawn so far by rows still short
     while len(rows):
-        order = np.argsort(-need)
-        rows, rows_state, need = rows[order], rows_state[order], need[order]
-        keys = _draw(rows_state, need)
+        order = np.argsort(-need)  # _draw takes the longest streams first
+        drawn_state, drawn_need = rows_state[order], need[order]
+        keys = _draw(drawn_state, drawn_need)
+        rows_state[order] = drawn_state
         ok = None if limit is None else keys < limit
         keys %= np.uint64(population)
         keys = keys.astype(key_type, copy=False)
-        keys |= (rows.astype(key_type) << bits).repeat(need)
+        keys |= row_keys[rows[order]].repeat(drawn_need)
         keys = np.concatenate([pending, keys if ok is None else keys[ok]])
         keys.sort()
         first = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]  # distinct
-        bounds = np.searchsorted(keys, np.arange(n + 1, dtype=key_type) << bits)
-        have = bounds[1:] - bounds[:-1]
-        complete = have == counts  # the rows whose sample is now whole; rows written earlier have none left here
+        keys = keys[first]  # distinct; each belongs to one of ``rows``
+        have = np.searchsorted(keys, row_keys[rows + 1])  # where each row's keys end ...
+        have[1:] -= have[:-1].copy()  # ... less where they start
+        complete = have == counts[rows]
         done = complete.repeat(have)
+        finished.append(keys[done])
         pending = keys[~done]
-        keys &= mask
-        indices[complete.repeat(counts)] = keys[done]
-        short = ~complete[rows]
-        rows, rows_state = rows[short], rows_state[short]
-        need = counts[rows] - have[rows]
-    return offsets, indices
+        short = ~complete
+        rows, rows_state, need = rows[short], rows_state[short], counts[rows[short]] - have[short]
+    keys = finished[0] if len(finished) == 1 else np.concatenate(finished)
+    keys.sort(kind="stable")  # merges the sorted runs
+    keys &= key_type((1 << bits) - 1)
+    return offsets, keys.view(keys.dtype.str.replace("u", "i")).astype(index_type, copy=False)

@@ -9,10 +9,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnavault import fountain
+from dnavault import fountain, rng
 from dnavault.contract import StorageContract
 from dnavault.dna_codec import oligo_codes
 from dnavault.fountain import (
@@ -57,8 +57,22 @@ def rows(offsets, indices) -> list[list[int]]:
 seeds_st = st.lists(st.integers(0, 2**32 - 1), max_size=96)
 
 
+def around_the_tiny_bound(test):
+    """Add as examples, at K = 1, 2, 8 and 128, the seed lists whose plans total just below and just above
+    ``rng._TINY`` entries: the last batch that replays the scalar stream and the first that takes the rounds."""
+    for k in (1, 2, 8, 128):
+        dist = RobustSoliton(k)
+        seeds = random.Random(k).sample(range(2**32), 2 * rng._TINY)
+        totals = np.cumsum([len(droplet_plan(seed, k, dist)[1]) for seed in seeds])
+        below = int(np.searchsorted(totals, rng._TINY, side="right"))  # the most seeds within the bound
+        for n in (below, below + 1):
+            test = example(seeds=seeds[:n], k=k)(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds=seeds_st, k=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 17, 19, 64, 100, 128, 1000, 1024, 2048, 3000, 4099, 2**15]))
+@around_the_tiny_bound
 def test_plan_droplets_matches_droplet_plan(seeds, k):
     # Under 16,384 seeds this is one plan_batch call, whose output plan_droplets returns as is.
     dist = RobustSoliton(k)
@@ -98,6 +112,28 @@ def test_plan_droplets_matches_over_many_seeds(k):
     dist = RobustSoliton(k)
     seeds = random.Random(k).sample(range(2**32), 2000)
     assert rows(*plan_droplets(seeds, k)) == [droplet_plan(s, k, dist)[1] for s in seeds]
+
+
+def test_a_tiny_batch_replays_the_scalar_stream(monkeypatch):
+    def no_draw(states, need):
+        raise AssertionError("a tiny batch draws no vectorized stream")
+
+    monkeypatch.setattr(rng, "_draw", no_draw)
+    dist = RobustSoliton(8)
+    seeds = random.Random(8).sample(range(2**32), 14)
+    assert rows(*plan_batch(np.array(seeds, dtype=np.uint64), dist.cdf, 8)) == [droplet_plan(s, 8, dist)[1] for s in seeds]
+
+
+def test_plan_batch_matches_with_64_bit_keys():
+    # 140,000 rows of 15-bit values: row << 15 | value passes 2**32, so the keys are uint64.
+    k = 32768
+    dist = RobustSoliton(k)
+    seeds = np.array(random.Random(64).sample(range(2**32), 140_000), dtype=np.uint64)
+    assert len(seeds) << (k - 1).bit_length() >= 1 << 32
+    offsets, indices = plan_batch(seeds, dist.cdf, k)
+    assert indices.dtype == np.int32 and offsets[-1] == len(indices)
+    for i in random.Random(2).sample(range(len(seeds)), 300) + [0, len(seeds) - 1]:
+        assert indices[offsets[i] : offsets[i + 1]].tolist() == droplet_plan(int(seeds[i]), k, dist)[1]
 
 
 def test_dense_row_replays_a_rejected_draw():

@@ -48,7 +48,7 @@ def read_strings(read_set):
 
 def consensus(read_set, segment_size):
     """The consensus frames rendered as oligo strings."""
-    return [bytes_to_dna(frame.tobytes()) for frame in consensus_reads(read_set, segment_size)]
+    return [bytes_to_dna(frame.tobytes()) for frame in consensus_reads([read_set], segment_size)]
 
 
 def scalar_corrupt(oligo: str, stream_seed: int, rate: float, skip_dropout_draw: bool) -> str:
@@ -370,7 +370,7 @@ def test_consensus_ignores_foreign_framing():
     # The reads of one bead form one matrix, so a foreign length is the whole bead's.
     oligos = make_oligos(count=2)
     foreign = synth(["ACGT" * 3] * 2, ErrorModel(), "foreign")
-    assert consensus_reads(sequence_bead(foreign, 3, ErrorModel()), 8).shape == (0, 16)
+    assert consensus_reads([sequence_bead(foreign, 3, ErrorModel())], 8).shape == (0, 16)
     assert consensus(sequence_bead(synth(oligos, ErrorModel(), "framed"), 3, ErrorModel()), 8) == oligos
 
 
