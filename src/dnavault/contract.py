@@ -262,9 +262,9 @@ class StorageContract:
             raise UnknownFile(f"record for {file_hash} carries no codec parameters")
         cp = record.codec_params
 
-        # Lazily, so one bead's reads are alive at a time; a bead whose every molecule dropped out has none.
+        # Fetched first, sequenced lazily: one bead's reads alive at a time; a bead that lost every molecule has none.
         places, params = record.bead_locations, self.defaults
-        beads = (self.cluster.retrieve_bead(bead_id, places) for bead_id in dict.fromkeys(b for b, _ in places))
+        beads = [self.cluster.retrieve_bead(bead_id, places) for bead_id in dict.fromkeys(b for b, _ in places)]
         read_sets = (sequence_bead(bead, params.coverage, params.error_model) for bead in beads if len(bead.codes))
         frames = consensus_reads(read_sets, cp.segment_size)  # one pass over every bead's reads
         seeds, payloads, _ = split_frames(frames)

@@ -258,8 +258,8 @@ def _consensus(packed: list[np.ndarray], set_counts: list[np.ndarray], width: in
     counts = set_counts[0] if len(set_counts) == 1 else np.concatenate(set_counts)
     seeds, _, checksums = split_frames(frames)
     valid = frame_crcs(frames) == checksums
-    if len(packed) > 1:  # key each read by (set, seed), so a read never pools with another set's
-        seeds = np.arange(len(packed), dtype=np.uint64).repeat([len(p) for p in packed]) << np.uint64(32) | seeds
+    # Key each read by (set, seed), so a read never pools with another set's.
+    seeds = np.arange(len(packed), dtype=np.uint64).repeat([len(p) for p in packed]) << np.uint64(32) | seeds
     order = np.argsort(seeds, kind="stable")  # reads grouped by key, in read order within a group
     opens = np.ones(len(order), dtype=bool)
     opens[1:] = seeds[order[1:]] != seeds[order[:-1]]

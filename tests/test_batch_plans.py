@@ -6,6 +6,7 @@ import sys
 import threading
 from bisect import bisect_left
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ def rows(offsets, indices) -> list[list[int]]:
     return [indices[offsets[i] : offsets[i + 1]].tolist() for i in range(len(offsets) - 1)]
 
 
+def plan_batch_both_ways(seeds, cumulative, population) -> tuple[list[list[int]], list[list[int]]]:
+    """``plan_batch``'s rows as called, and with ``rng._TINY`` at 0, so that a batch small enough to replay the
+    scalar stream takes the vectorized rounds and ``_fisher_yates`` too."""
+    seeds, cumulative = np.array(seeds, dtype=np.uint64), np.array(cumulative)
+    as_called = rows(*plan_batch(seeds, cumulative, population))
+    with mock.patch.object(rng, "_TINY", 0):
+        return as_called, rows(*plan_batch(seeds, cumulative, population))
+
+
 seeds_st = st.lists(st.integers(0, 2**32 - 1), max_size=96)
 
 
@@ -87,23 +97,25 @@ def test_plan_droplets_matches_droplet_plan(seeds, k):
     population=st.one_of(st.integers(1, 300), st.sampled_from([256, 512, 4096])),
     weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=300),
 )
+@example(seeds=list(range(1, 40)), population=20, weights=[1.0] * 13)  # dense, boundary and sparse rows in one batch
 def test_plan_batch_matches_scalar_for_any_degree_law(seeds, population, weights):
     # Arbitrary degree laws reach the dense Fisher-Yates branch (2 * count > population)
     # and its boundary (2 * count == population) far more often than the soliton does.
     cumulative = list(np.cumsum(weights) / sum(weights))
     cumulative[-1] = 1.0
-    got = rows(*plan_batch(np.array(seeds, dtype=np.uint64), np.array(cumulative), population))
-    assert got == [scalar_plan(s, cumulative, population) for s in seeds]
+    expected = [scalar_plan(s, cumulative, population) for s in seeds]
+    assert plan_batch_both_ways(seeds, cumulative, population) == (expected, expected)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=63), count=st.integers(1, 12))
+@example(seeds=list(range(1, 64)), count=12)  # 756 entries: past rng._TINY as called
 def test_plan_batch_replays_rejected_draws(seeds, count):
     # randbelow rejects draws at or above 2**64 - 2**64 % population: here about one in 128.
     population = 2**57 + 1
     cumulative = [0.0] * (count - 1) + [1.0]
-    got = rows(*plan_batch(np.array(seeds, dtype=np.uint64), np.array(cumulative), population))
-    assert got == [scalar_plan(s, cumulative, population) for s in seeds]
+    expected = [scalar_plan(s, cumulative, population) for s in seeds]
+    assert plan_batch_both_ways(seeds, cumulative, population) == (expected, expected)
 
 
 @pytest.mark.parametrize("k", [100, 2048, 32768])
