@@ -23,9 +23,10 @@ Oligos stay base-code matrices and frames stay byte rows throughout.
 The engine holds a ``Ledger``: uploads, downloads and permission changes
 read its current records and append one block checked against them, so no
 operation replays the chain. Given a state directory, the engine opens it
-(chain and persisted beads) and persists the chain (append-only
-``chain.jsonl``) and bead contents as they are created, so any later engine
-on that directory rebuilds the exact same state.
+(the chain, and the header of each persisted bead; a bead's oligos are read
+at its first download) and persists the chain (append-only ``chain.jsonl``)
+and bead contents as they are created, so any later engine on that
+directory rebuilds the exact same state.
 """
 
 from __future__ import annotations
@@ -262,10 +263,12 @@ class StorageContract:
             raise UnknownFile(f"record for {file_hash} carries no codec parameters")
         cp = record.codec_params
 
-        # Fetched first, sequenced lazily: one bead's reads alive at a time; a bead that lost every molecule has none.
+        # Fetched first, sequenced lazily: one bead's reads alive at a time. A bead opened from disk first reads its
+        # oligos here, where the beads that lost every molecule are dropped, and not inside the consensus call.
         places, params = record.bead_locations, self.defaults
         beads = [self.cluster.retrieve_bead(bead_id, places) for bead_id in dict.fromkeys(b for b, _ in places)]
-        read_sets = (sequence_bead(bead, params.coverage, params.error_model) for bead in beads if len(bead.codes))
+        beads = [bead for bead in beads if len(bead.codes)]
+        read_sets = (sequence_bead(bead, params.coverage, params.error_model) for bead in beads)
         frames = consensus_reads(read_sets, cp.segment_size)  # one pass over every bead's reads
         seeds, payloads, _ = split_frames(frames)
         first = np.sort(np.unique(seeds, return_index=True)[1])  # a seed read on several beads counts once

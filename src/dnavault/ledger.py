@@ -23,7 +23,8 @@ changed copy. Full verification -- every hash, link and transaction from
 genesis -- runs when a chain is loaded (``read_ledger``, in the same pass
 that folds it) and on ``chain verify``. A load dumps each line once, to check
 that it is canonical, and hashes the line's own payload slice: ``block_hash``
-sorts first, so the rest of a canonical line after it is the hashed JSON.
+sorts first and is 64 hex digits, so the rest of a canonical line after its
+81-byte prefix is the hashed JSON.
 ``GET /chain`` asks ``Ledger.verify``, which replays the chain only when it
 holds blocks the ledger did not verify.
 """
@@ -384,8 +385,16 @@ def append_chain_file(path: Path | str, block: Block) -> None:
         fh.flush()
 
 
-def _parse_block_line(line: bytes) -> tuple[Block, bytes]:
-    """The block on a canonical line, and its hash payload: ``{`` plus the line after ``"block_hash":<value>,``."""
+# A canonical line whose ``block_hash`` is 64 lowercase hex digits opens with ``{"block_hash":"<hex>",``.
+_HASH_PREFIX = len(b'{"block_hash":"",') + 64
+
+
+def _parse_block_line(line: bytes) -> tuple[Block, bytes | None]:
+    """The block on a canonical line, and its hash payload: ``{`` plus the line after ``"block_hash":"<hex>",``.
+
+    A ``block_hash`` other than 64 lowercase hex digits has no payload (None): it is hashed from the block's
+    fields, which can never give it, so the load fails as a hash mismatch at its height.
+    """
     raw = json.loads(line.decode("utf-8"))
     if not isinstance(raw, dict) or set(raw) != _BLOCK_KEYS:
         raise ValueError("block line has unexpected fields")
@@ -393,8 +402,12 @@ def _parse_block_line(line: bytes) -> tuple[Block, bytes]:
     # A non-list ``transactions`` dumps differently once held as a tuple, so it is not canonical.
     if type(raw["transactions"]) is not list or canonical_json(raw) != line:
         raise ValueError("block line is not in canonical form")
-    prefix = len(b'{"block_hash":') + len(canonical_json(raw["block_hash"])) + 1
-    return block, b"{" + line[prefix:]
+    block_hash = raw["block_hash"]  # a str of 64 lowercase hex digits; bytes.translate deletes them fastest
+    if type(block_hash) is not str or len(block_hash) != 64 or not block_hash.isascii():
+        return block, None
+    if block_hash.encode().translate(None, b"0123456789abcdef"):
+        return block, None
+    return block, b"{" + line[_HASH_PREFIX:]
 
 
 def _parse_blocks(data: bytes):

@@ -45,7 +45,10 @@ files on disk.
 A bead is its oligos and nothing else: what a reader needs to decode them
 (K, segment size, length) is the ledger record's :class:`CodecParams`,
 written once more as the header of the bead's file, and the number of
-oligos is the number of rows.
+oligos is the number of rows. A bead opened from disk checks that header at
+once and reads its oligo lines at first use, so opening a state directory
+reads one line a bead, and a damaged body fails only the downloads that
+need it.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from typing import Iterable
 import numpy as np
 
 from .dna_codec import CHAR_OF_CODE, CODE_OF_CHAR, bytes_to_codes, codes_to_bytes, oligo_strings
-from .errors import EmptyBead
+from .errors import BeadUnavailable, EmptyBead
 from .fountain import OLIGO_HEADER_BYTES, frame_crcs, split_frames
 from .ledger import CodecParams
 from .rng import derive_seed, seed_states, step_states, substream_array
@@ -79,12 +82,27 @@ class ErrorModel:
                 raise ValueError(f"{name} must lie in [0, 1], got {rate}")
 
 
-@dataclass(eq=False)
 class Bead:
-    """One simulated glass bead: an identified container of oligos, held as an ``(n, L)`` base-code matrix."""
+    """One simulated glass bead: an identified container of oligos, held as an ``(n, L)`` base-code matrix.
 
-    bead_id: str
-    codes: np.ndarray
+    ``Bead(bead_id, codes)`` holds its matrix. A bead that :func:`load_bead`
+    opened holds its file's path instead, and reads, parses and keeps the
+    file's oligo lines the first time ``codes`` is used. A body that cannot
+    be read or parsed raises BeadUnavailable naming the file, at every use
+    until it can be. There is no lock: threads that first use a fresh bead
+    at the same time may each read the file, and the bead keeps one of their
+    equal results.
+    """
+
+    def __init__(self, bead_id: str, codes: np.ndarray | None = None, *, path: Path | None = None):
+        self.bead_id, self._codes, self._path = bead_id, codes, path
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The stored oligos as an ``(n, L)`` base-code matrix."""
+        if self._codes is None:
+            self._codes = _read_oligo_lines(self._path)
+        return self._codes
 
     @property
     def oligos(self) -> list[str]:
@@ -320,22 +338,34 @@ def save_bead(beads_dir: Path | str, bead: Bead, codec: CodecParams) -> Path:
 
 
 def load_bead(beads_dir: Path | str, bead_id: str, codec: CodecParams | None = None) -> Bead:
-    """The bead written by :func:`save_bead`; its lines, all non-blank and of one length, as codes.
+    """The bead written by :func:`save_bead`, its header checked now and its oligo lines read at first use.
 
-    A damaged file, or a header other than that of ``codec`` when one is
-    given, raises ValueError naming it.
+    A damaged header, or one other than that of ``codec`` when one is given,
+    raises ValueError naming the file. Only the header line is read here; a
+    damaged or vanished body raises BeadUnavailable when the bead's ``codes``
+    are first used (see :class:`Bead`).
     """
     path = Path(beads_dir) / bead_id / "oligos.txt"
-    header, _, body = path.read_bytes().partition(b"\n")
+    with path.open("rb") as file:
+        header = file.readline().removesuffix(b"\n")
     if not header.startswith(b"#"):
         raise ValueError(f"{path}: missing oligo file header")
     if not _HEADER.fullmatch(header):
         raise ValueError(f"{path}: malformed oligo file header")
     if codec is not None and header != _header(codec):
         raise ValueError(f"{path}: header {header.decode()} does not match the record's {_header(codec).decode()}")
+    return Bead(bead_id, path=path)
+
+
+def _read_oligo_lines(path: Path) -> np.ndarray:
+    """The codes of the bead file's lines after its header, all non-blank and of one length; else BeadUnavailable."""
+    try:
+        body = path.read_bytes().partition(b"\n")[2]
+    except OSError as exc:
+        raise BeadUnavailable(f"{path}: {exc.strerror or exc}") from exc
     lines = np.frombuffer(body.translate(CODE_OF_CHAR), dtype=np.uint8)
     width = body.find(b"\n") + 1  # the first line with its line end
     rows = lines.reshape(-1, width) if width > 1 and len(lines) % width == 0 else lines[:, None]
     if body and (rows.shape[1] < 2 or (rows[:, -1] != 4).any() or rows[:, :-1].max() > 3):
-        raise ValueError(f"{path}: oligo lines are blank or of unequal length")
-    return Bead(bead_id, rows[:, :-1])
+        raise BeadUnavailable(f"{path}: oligo lines are blank or of unequal length")
+    return rows[:, :-1]

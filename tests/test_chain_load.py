@@ -20,6 +20,7 @@ from dnavault.ledger import (
     read_ledger,
     record_create,
 )
+from dnavault.ledger import _parse_block_line
 
 VALIDATORS = [Validator("v-a", 1), Validator("v-b", 3)]
 BLOCK_KEYS = {"index", "prev_hash", "timestamp", "validator", "transactions", "block_hash"}
@@ -152,6 +153,25 @@ def test_a_non_string_block_hash_reads_as_a_mismatch(chain_path):
         raw["block_hash"] = value
         got, expected = loaded_both_ways(chain_path, with_line(2, canonical_json(raw)))
         assert got == expected == ("corrupt", 2, "chain fails verification at height 2: block hash mismatch")
+
+
+def test_the_hash_payload_is_the_line_after_its_81_byte_prefix():
+    for line in LINES:
+        raw = json.loads(line)
+        block_hash = raw.pop("block_hash")
+        assert line[:81] == b'{"block_hash":"' + block_hash.encode() + b'",'
+        assert _parse_block_line(line)[1] == canonical_json(raw)
+
+
+def test_a_malformed_block_hash_fails_at_its_height(chain_path):
+    good = json.loads(LINES[2])["block_hash"]
+    for value in (good.upper(), good + "0", good[1:], "g" + good[1:], " " + good[1:], good.encode().hex()[:64]):
+        raw = json.loads(LINES[2])
+        raw["block_hash"] = value
+        chain_path.write_bytes(with_line(2, canonical_json(raw)))
+        with pytest.raises(CorruptChain) as caught:
+            read_ledger(chain_path)
+        assert (caught.value.height, str(caught.value)) == (2, "chain fails verification at height 2: block hash mismatch")
 
 
 def test_non_list_transactions_are_not_canonical(chain_path):

@@ -3,17 +3,23 @@
 import json
 import random
 import shutil
+import sys
+import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
 from dnavault import contract as contract_module
+from dnavault import synthesis
 from dnavault.cli import EXIT_USAGE, main
 from dnavault.config import ServiceConfig
-from dnavault.contract import StorageContract
-from dnavault.errors import BeadUnavailable
+from dnavault.contract import StorageContract, StoreParams
+from dnavault.errors import BeadUnavailable, DecodeFailed
 from dnavault.ledger import Validator, read_ledger
 from dnavault.network import Cluster
-from dnavault.service import StorageService
+from dnavault.service import StorageService, make_server
+from dnavault.synthesis import ErrorModel
 
 FILES = [random.Random(i).randbytes(600) for i in range(3)]
 
@@ -150,3 +156,161 @@ def test_a_second_contract_on_a_state_directory_continues_its_chain(tmp_path):
     assert second.upload_file("alice", FILES[1]).block_index == 2
     assert read_ledger(tmp_path / "chain.jsonl").tip.block_hash == second.chain[-1].block_hash
     assert contract().download_file("alice", receipt.file_hash) == FILES[0]
+
+
+# --- the lazy open: headers at open, oligo lines at first use ----------------------------
+
+@pytest.fixture
+def body_reads(monkeypatch):
+    """The ids of the beads whose oligo lines are read, one entry a read."""
+    reads = []
+    original = synthesis._read_oligo_lines
+
+    def counted(path):
+        reads.append(path.parent.name)
+        return original(path)
+
+    monkeypatch.setattr(synthesis, "_read_oligo_lines", counted)
+    return reads
+
+
+def test_an_open_reads_no_bead_body(stored, body_reads):
+    state, receipts = stored
+    service = reopen(state)
+    assert body_reads == []
+    assert {b for node in service.cluster.nodes.values() for b in node.beads} == {
+        b for r in receipts for b in r["bead_ids"]
+    }
+
+
+def test_a_download_reads_its_own_bead_bodies_once(stored, body_reads):
+    state, receipts = stored
+    service = reopen(state)
+    for receipt, data in zip(receipts, FILES):
+        assert service.download("alice", receipt["file_hash"]) == data
+        assert sorted(body_reads) == sorted(receipt["bead_ids"])  # each of its beads once, no other file's
+        assert service.download("alice", receipt["file_hash"]) == data
+        assert len(body_reads) == len(receipt["bead_ids"])  # the second download reads none
+        for bead_id in receipt["bead_ids"]:
+            installed = [service.cluster.nodes[n].beads[bead_id] for b, n in receipt["placement"] if b == bead_id]
+            assert len(installed) == 3 and all(bead is installed[0] for bead in installed)
+        body_reads.clear()
+
+
+def test_threads_that_download_the_same_file_right_after_an_open_all_get_its_bytes(stored):
+    # No lock: threads that first use a bead at the same time may each read its file, and each gets the same codes.
+    state, receipts = stored
+    service = reopen(state)
+    start, got = threading.Barrier(4), []
+
+    def download():
+        start.wait()
+        got.append(service.download("alice", receipts[0]["file_hash"]))
+
+    threads = [threading.Thread(target=download) for _ in range(4)]  # more threads than a 2-core machine has cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [FILES[0]] * 4
+
+
+def outcome(service, file_hash):
+    """The bytes a download returns, or DecodeFailed for a file that does not peel (ROADMAP item 4)."""
+    try:
+        return service.download("alice", file_hash)
+    except DecodeFailed:
+        return DecodeFailed
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.001])
+def test_an_open_then_a_download_of_every_file_returns_what_the_uploading_service_does(tmp_path, rate):
+    state = tmp_path / "state"
+    store = StoreParams(error_model=ErrorModel(substitution_rate=rate, rng_seed=11))
+    first = StorageService(ServiceConfig.load_or_create(state, store=store))
+    files = [random.Random(20 + i).randbytes(size) for i, size in enumerate((40, 900, 5000, 20000))]
+    hashes = [first.upload("alice", data)["file_hash"] for data in files]
+    service = reopen(state)
+    assert service.config.store == store
+    got = [outcome(service, file_hash) for file_hash in hashes]
+    assert got == [outcome(first, file_hash) for file_hash in hashes]
+    assert got[-1] == files[-1]
+
+
+def ragged(path):
+    """Drop one base from the first oligo line of the bead file at ``path``."""
+    header, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" + body[1:])
+
+
+def test_a_damaged_body_fails_only_its_own_file(stored):
+    state, receipts = stored
+    path = state / "beads" / receipts[1]["bead_ids"][2] / "oligos.txt"
+    ragged(path)
+    service = reopen(state)
+    with pytest.raises(BeadUnavailable, match=f"{path}: oligo lines are blank or of unequal length"):
+        service.download("alice", receipts[1]["file_hash"])
+    for i in (0, 2):
+        assert service.download("alice", receipts[i]["file_hash"]) == FILES[i]
+    assert service.chain_info()["valid"] is True
+
+
+def test_a_body_deleted_after_the_open_fails_only_its_own_file(stored):
+    state, receipts = stored
+    service = reopen(state)
+    path = state / "beads" / receipts[1]["bead_ids"][0] / "oligos.txt"
+    path.unlink()
+    with pytest.raises(BeadUnavailable, match=f"{path}: No such file"):
+        service.download("alice", receipts[1]["file_hash"])
+    for i in (0, 2):
+        assert service.download("alice", receipts[i]["file_hash"]) == FILES[i]
+
+
+def test_a_damaged_body_fails_only_its_own_file_through_the_cli(stored, tmp_path, capsys):
+    state, receipts = stored
+    path = state / "beads" / receipts[1]["bead_ids"][0] / "oligos.txt"
+    ragged(path)
+    assert main(["--state", str(state), "chain", "show"]) == 0
+    out = tmp_path / "out.bin"
+    assert main(["--state", str(state), "download", receipts[1]["file_hash"], "--as", "alice", "--out", str(out)]) == 8
+    err = capsys.readouterr().err
+    assert "BeadUnavailable" in err and str(path) in err and "oligo lines are blank or of unequal length" in err
+    assert main(["--state", str(state), "download", receipts[0]["file_hash"], "--as", "alice", "--out", str(out)]) == 0
+    assert out.read_bytes() == FILES[0]
+
+
+def test_a_damaged_body_fails_only_its_own_file_through_rest(stored):
+    state, receipts = stored
+    path = state / "beads" / receipts[1]["bead_ids"][0] / "oligos.txt"
+    ragged(path)
+    server = make_server(ServiceConfig.load_or_create(state, port=0))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+
+    def get(route):
+        request = urllib.request.Request(base + route, headers={"X-Requester": "alice"})
+        try:
+            with urllib.request.urlopen(request) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            return exc.code, exc.read()
+
+    try:
+        status, body = get(f"/files/{receipts[1]['file_hash']}")
+        assert status == 503
+        reply = json.loads(body)
+        assert reply["error"] == "BeadUnavailable" and str(path) in reply["detail"]
+        assert get(f"/files/{receipts[2]['file_hash']}") == (200, FILES[2])
+        status, body = get("/chain")
+        assert status == 200 and json.loads(body)["valid"] is True
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dnavault import synthesis
 from dnavault.dna_codec import bytes_to_dna, oligo_codes, oligo_strings
-from dnavault.errors import EmptyBead
+from dnavault.errors import BeadUnavailable, EmptyBead
 from dnavault.fountain import encode_droplets, fragment
 from dnavault.ledger import CodecParams
 from dnavault.rng import Xorshift64Star, derive_seed, substream
@@ -421,8 +421,21 @@ def test_ragged_oligo_file_fails_at_load_naming_the_file(tmp_path, damage):
     path = tmp_path / "beads" / "ragged" / "oligos.txt"
     header, body = path.read_bytes().split(b"\n", 1)
     path.write_bytes(header + b"\n" + damage(body))
-    with pytest.raises(ValueError, match="oligos.txt: oligo lines are blank or of unequal length"):
-        load_bead(tmp_path / "beads", "ragged")
+    bead = load_bead(tmp_path / "beads", "ragged")  # the open reads the header only
+    with pytest.raises(BeadUnavailable, match="oligos.txt: oligo lines are blank or of unequal length"):
+        bead.codes
+
+
+def test_a_body_that_vanished_after_the_load_fails_at_first_use_naming_the_file(tmp_path):
+    oligos = make_oligos(count=4)
+    path = save_bead(tmp_path, synth(oligos, ErrorModel(), "vanished"), CODEC)
+    bead = load_bead(tmp_path, "vanished", CODEC)
+    saved = path.read_bytes()
+    path.unlink()
+    with pytest.raises(BeadUnavailable, match="vanished/oligos.txt: No such file"):
+        bead.codes
+    path.write_bytes(saved)  # a failed read is not kept: the next use reads the file again
+    assert bead.oligos == oligos
 
 
 def test_an_emptied_bead_saves_and_loads_as_an_empty_matrix(tmp_path):
